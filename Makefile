@@ -5,7 +5,7 @@ GO ?= go
 FUZZTIME ?= 10s
 FUZZ_PKGS := ./internal/core ./internal/dlt ./internal/fleet ./internal/rt
 
-.PHONY: build test bench bench-json bench-index bench-contention fmt fmt-check vet race fuzz-smoke serve loadtest wire-smoke ci
+.PHONY: build test bench bench-json bench-index fmt fmt-check vet race fuzz-smoke serve loadtest wire-smoke ci
 
 build:
 	$(GO) build ./...
@@ -33,15 +33,6 @@ bench-json:
 # ns/op grows super-linearly (> MAX_RATIO, default 15x over a 100x fleet).
 bench-index:
 	./scripts/bench_index.sh
-
-# Optimistic-admission contention gate: BenchmarkSubmitContention
-# (mix={cold,hot} x mode={spec,serial} x submitter sweep) into
-# BENCH_contention.json, then cmd/benchgate -contention enforces the
-# speculation contract — parallel scaling on the low-conflict mix, near-
-# serialized throughput on the 100%-conflict mix. Machine-adaptive: both
-# gates skip with a note on single-proc machines.
-bench-contention:
-	./scripts/bench_contention.sh
 
 fmt:
 	gofmt -w .

@@ -1,23 +1,11 @@
-// Command benchgate enforces benchmark contracts from `go test -json`
-// benchmark streams produced in CI.
-//
-// Default mode gates the admission index's scaling contract
-// (BENCH_index.json): for every benchmark family carrying nodes=<n>
-// subtests it compares ns/op at the largest fleet against the smallest and
-// fails when the growth exceeds -max-ratio. Gating on the growth ratio
-// rather than absolute ns keeps the check machine-independent: a per-submit
-// cost linear in the fleet would grow ~100x over the nodes=100 →
-// nodes=10000 sweep, while the indexed hot path stays flat up to a
-// logarithmic factor.
-//
-// -contention mode gates the optimistic-admission contract
-// (BENCH_contention.json) from BenchmarkSubmitContention/mix=<m>/mode=<m>/
-// gos=<n> results. Both gates are machine-adaptive via the GOMAXPROCS
-// suffix Go appends to benchmark names (absent suffix = 1 proc), because
-// the contract's premise is real parallelism: on a single proc submitters
-// never overlap, so speculation can neither scale (cold) nor conflict
-// (hot), and both gates are skipped with a note rather than measured
-// against a premise the machine cannot exhibit.
+// Command benchgate enforces the admission index's scaling contract on a
+// `go test -json` benchmark stream produced in CI (BENCH_index.json): for
+// every benchmark family carrying nodes=<n> subtests it compares ns/op at
+// the largest fleet against the smallest and fails when the growth exceeds
+// -max-ratio. Gating on the growth ratio rather than absolute ns keeps the
+// check machine-independent: a per-submit cost linear in the fleet would
+// grow ~100x over the nodes=100 → nodes=10000 sweep, while the indexed hot
+// path stays flat up to a logarithmic factor.
 package main
 
 import (
@@ -46,17 +34,9 @@ type event struct {
 // "BenchmarkSubmit/nodes=10000-8     28905     3913 ns/op    841 B/op".
 var benchLine = regexp.MustCompile(`^(Benchmark[^\s/]+)/nodes=(\d+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
-// contLine matches a contention benchmark result line, e.g.
-// "BenchmarkSubmitContention/mix=hot/mode=spec/gos=8-16   300   3913 ns/op".
-var contLine = regexp.MustCompile(`^BenchmarkSubmitContention/mix=(\w+)/mode=(\w+)/gos=(\d+)(?:-(\d+))?\s+\d+\s+([0-9.]+) ns/op`)
-
 func main() {
 	in := flag.String("in", "BENCH_index.json", "go test -json benchmark stream to gate")
 	maxRatio := flag.Float64("max-ratio", 15, "max allowed ns/op growth, largest vs smallest fleet")
-	contention := flag.Bool("contention", false, "gate BenchmarkSubmitContention results instead of the nodes=<n> index families")
-	coldScalePerProc := flag.Float64("cold-scale-per-proc", 0.45, "required cold-mix throughput scaling at gos=8 vs gos=1, per usable proc")
-	coldScaleCap := flag.Float64("cold-scale-cap", 2.0, "cap on the required cold-mix scaling")
-	hotFloor := flag.Float64("hot-floor", 0.9, "min allowed spec/serial throughput ratio on the 100%-conflict mix")
 	flag.Parse()
 
 	f, err := os.Open(*in)
@@ -92,11 +72,6 @@ func main() {
 		if rest != "" {
 			lines = append(lines, rest)
 		}
-	}
-
-	if *contention {
-		gateContention(lines, *in, *coldScalePerProc, *coldScaleCap, *hotFloor)
-		return
 	}
 	gateIndex(lines, *in, *maxRatio)
 }
@@ -158,120 +133,6 @@ func gateIndex(lines []string, in string, maxRatio float64) {
 	}
 	if failed {
 		fatalf("per-submit cost grows super-linearly with the fleet")
-	}
-}
-
-// gateContention enforces the two optimistic-admission contracts:
-//
-//   - cold (low-conflict) mix: the speculative path at gos=8 must deliver at
-//     least min(coldScaleCap, coldScalePerProc·min(procs, 8))× the gos=1
-//     throughput. The per-proc slope discounts the ideal 8× for lock-window
-//     serialization and scheduler noise; the requirement caps at
-//     coldScaleCap× on big machines and is skipped when the stream was
-//     produced with too few procs for any scaling to be possible.
-//
-//   - hot (100%-conflict) mix: at every contended width (gos ≥ 4) the
-//     speculative path must retain at least hotFloor of the serialized
-//     throughput, i.e. the adaptive conflict gate must actually degenerate
-//     to near-serialized admission instead of burning planning work that
-//     always loses the install race. Skipped on single-proc streams, where
-//     submitters never overlap and so no conflict ever occurs to trigger
-//     the gate.
-func gateContention(lines []string, in string, coldScalePerProc, coldScaleCap, hotFloor float64) {
-	// ns[mix][mode][gos] = best observed ns/op.
-	ns := map[string]map[string]map[int]float64{}
-	procs := 1
-	for _, line := range lines {
-		m := contLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		gos, err := strconv.Atoi(m[3])
-		if err != nil {
-			continue
-		}
-		if m[4] != "" {
-			if p, err := strconv.Atoi(m[4]); err == nil && p > procs {
-				procs = p
-			}
-		}
-		v, err := strconv.ParseFloat(m[5], 64)
-		if err != nil {
-			continue
-		}
-		if ns[m[1]] == nil {
-			ns[m[1]] = map[string]map[int]float64{}
-		}
-		if ns[m[1]][m[2]] == nil {
-			ns[m[1]][m[2]] = map[int]float64{}
-		}
-		if cur, ok := ns[m[1]][m[2]][gos]; !ok || v < cur {
-			ns[m[1]][m[2]][gos] = v
-		}
-	}
-	if len(ns) == 0 {
-		fatalf("no BenchmarkSubmitContention results in %s", in)
-	}
-
-	failed := false
-
-	// Cold-mix scaling gate.
-	required := coldScalePerProc * float64(min(procs, 8))
-	if required > coldScaleCap {
-		required = coldScaleCap
-	}
-	cold := ns["cold"]["spec"]
-	switch {
-	case required < 1:
-		fmt.Printf("benchgate: cold mix: %d proc(s) cannot exhibit parallel speedup, scaling gate skipped\n", procs)
-	case cold[1] == 0 || cold[8] == 0:
-		fatalf("cold mix: missing mode=spec gos=1 or gos=8 result in %s", in)
-	default:
-		scaling := cold[1] / cold[8]
-		verdict := "ok"
-		if scaling < required {
-			verdict = "FAIL"
-			failed = true
-		}
-		fmt.Printf("benchgate: cold mix gos=1 %.1f ns/op -> gos=8 %.1f ns/op: x%.2f throughput scaling on %d procs (need x%.2f) %s\n",
-			cold[1], cold[8], scaling, procs, required, verdict)
-	}
-
-	// Hot-mix overhead gate.
-	if procs < 2 {
-		fmt.Printf("benchgate: hot mix: submitters cannot overlap on %d proc(s), no conflicts occur, overhead gate skipped\n", procs)
-	} else {
-		gated := 0
-		var widths []int
-		for gos := range ns["hot"]["spec"] {
-			widths = append(widths, gos)
-		}
-		sort.Ints(widths)
-		for _, gos := range widths {
-			if gos < 4 {
-				continue // uncontended widths: conflicts too rare to engage the gate
-			}
-			serial, ok := ns["hot"]["serial"][gos]
-			if !ok {
-				continue
-			}
-			gated++
-			ratio := serial / ns["hot"]["spec"][gos] // spec/serial throughput
-			verdict := "ok"
-			if ratio < hotFloor {
-				verdict = "FAIL"
-				failed = true
-			}
-			fmt.Printf("benchgate: hot mix gos=%d spec %.1f ns/op vs serial %.1f ns/op: x%.2f of serialized throughput (floor x%.2f) %s\n",
-				gos, ns["hot"]["spec"][gos], serial, ratio, hotFloor, verdict)
-		}
-		if gated == 0 {
-			fatalf("hot mix: no gos>=4 spec/serial pairs in %s", in)
-		}
-	}
-
-	if failed {
-		fatalf("optimistic admission breaks its contention contract")
 	}
 }
 

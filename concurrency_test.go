@@ -10,9 +10,9 @@ import (
 	"rtdls"
 )
 
-// specTask derives a deterministic task from its id, so the concurrent run
+// stressTask derives a deterministic task from its id, so the concurrent run
 // and the serialized replay construct bit-identical inputs.
-func specTask(id int64) rtdls.Task {
+func stressTask(id int64) rtdls.Task {
 	return rtdls.Task{
 		ID:          id,
 		Sigma:       30 + float64((id*37)%350),
@@ -20,16 +20,15 @@ func specTask(id int64) rtdls.Task {
 	}
 }
 
-// TestSpeculativeStressChurn hammers one shard from 16 goroutines — twelve
+// TestServiceStressChurn hammers one shard from 16 goroutines — twelve
 // submitters alternating Submit and SubmitBatch, four churners failing and
-// restoring their own node — with optimistic admission on (the default) and
-// an independent Verifier re-checking every commitment. Run under -race
-// (CI does), this is the data-race net over the whole two-phase admission
-// surface: snapshots, off-lock planning, epoch checks, install paths,
-// conflict fallbacks and fleet-triggered re-validation all interleave.
-// After a drain the conservation identity must hold exactly:
+// restoring their own node — with an independent Verifier re-checking
+// every commitment. Run under -race (CI does), this is the data-race net
+// over the admission surface: submits, batches, lock-free Stats reads and
+// fleet-triggered re-validation all interleave. After a drain the
+// conservation identity must hold exactly:
 // accepts == commits + displaced − readmitted.
-func TestSpeculativeStressChurn(t *testing.T) {
+func TestServiceStressChurn(t *testing.T) {
 	verifier := rtdls.NewVerifier(rtdls.Params{Cms: 1, Cps: 100}, 16)
 	svc, err := rtdls.New(
 		rtdls.WithNodes(16),
@@ -69,7 +68,7 @@ func TestSpeculativeStressChurn(t *testing.T) {
 			}
 			for i := 0; i < each; i++ {
 				if i%3 == 2 {
-					batch := []rtdls.Task{specTask(id.Add(1)), specTask(id.Add(1)), specTask(id.Add(1))}
+					batch := []rtdls.Task{stressTask(id.Add(1)), stressTask(id.Add(1)), stressTask(id.Add(1))}
 					decs, err := svc.SubmitBatch(ctx, batch)
 					if err != nil {
 						t.Errorf("worker %d batch: %v", w, err)
@@ -79,7 +78,7 @@ func TestSpeculativeStressChurn(t *testing.T) {
 						count(d)
 					}
 				} else {
-					d, err := svc.Submit(ctx, specTask(id.Add(1)))
+					d, err := svc.Submit(ctx, stressTask(id.Add(1)))
 					if err != nil {
 						t.Errorf("worker %d: %v", w, err)
 						return
@@ -129,24 +128,18 @@ func TestSpeculativeStressChurn(t *testing.T) {
 	if st.QueueLen != 0 {
 		t.Fatalf("drain left %d tasks queued", st.QueueLen)
 	}
-	if st.Speculative+st.Conflicts == 0 {
-		t.Fatal("no submission took the speculative path; the stress exercised nothing")
-	}
 	if !verifier.OK() {
 		t.Fatalf("verifier found violations:\n%s", verifier.Report())
 	}
 }
 
-// TestSpeculativeLinearizationReplay is the linearizability property test:
-// whatever interleaving the concurrent, speculating run produced, replaying
-// the same tasks in the same linearization order through a fully serialized
-// service must reproduce every Decision bit for bit — accepts, rejects,
-// node sets, starts, alphas and estimates. The event stream publishes
-// decisions in install order under the service lock, so it IS the
-// linearization; conflict-path fallbacks replay through the serialized
-// submit by construction, and this test pins that epoch-clean installs are
-// indistinguishable from it too.
-func TestSpeculativeLinearizationReplay(t *testing.T) {
+// TestConcurrentLinearizationReplay is the linearizability property test:
+// whatever interleaving the concurrent run produced, replaying the same
+// tasks in the same linearization order through a single submitter must
+// reproduce every Decision bit for bit — accepts, rejects, node sets,
+// starts, alphas and estimates. The event stream publishes decisions in
+// order under the service lock, so it IS the linearization.
+func TestConcurrentLinearizationReplay(t *testing.T) {
 	newSvc := func() (*rtdls.Service, *rtdls.ManualClock) {
 		clock := rtdls.NewManualClock(0) // frozen: `now` is 0 in both runs
 		svc, err := rtdls.New(
@@ -162,7 +155,7 @@ func TestSpeculativeLinearizationReplay(t *testing.T) {
 		return svc, clock
 	}
 
-	// Concurrent run, speculation on (the default).
+	// Concurrent run.
 	svc, _ := newSvc()
 	events, cancelSub := svc.Subscribe(1 << 15)
 	order := make(chan []int64, 1)
@@ -193,7 +186,7 @@ func TestSpeculativeLinearizationReplay(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				n := id.Add(1)
-				d, err := svc.Submit(ctx, specTask(n))
+				d, err := svc.Submit(ctx, stressTask(n))
 				if err != nil {
 					t.Errorf("task %d: %v", n, err)
 					return
@@ -223,10 +216,9 @@ func TestSpeculativeLinearizationReplay(t *testing.T) {
 	// Serialized replay of the identical linearization order.
 	replay, _ := newSvc()
 	defer replay.Close()
-	replay.SetSpeculation(false)
 	for pos, n := range linear {
 		want := got[n]
-		d, err := replay.Submit(ctx, specTask(n))
+		d, err := replay.Submit(ctx, stressTask(n))
 		if err != nil {
 			t.Fatalf("replay pos %d task %d: %v", pos, n, err)
 		}

@@ -134,31 +134,18 @@
 // to 10,000 nodes; CI gates the growth ratio via cmd/benchgate over the
 // BenchmarkSubmit/nodes=N sweep (BENCH_index.json).
 //
-// Since 3.4.0 admission is optimistically concurrent within a shard. A
-// submission snapshots the committed state under the lock with an epoch
-// stamp (cluster mutation counter + queue generation), then runs the
-// entire schedulability test — due-commit simulation, fast-reject,
-// candidate ordering, planning, deadline check — outside the lock
-// against a private availability view with per-goroutine scratch. The
-// install phase retakes the lock, and if the epoch is unchanged the
-// precomputed decision lands with a buffer swap; on a conflict the
-// speculation is discarded and the submission replays through the
-// serialized path, so every decision is still made against serialized
-// state and the stream is bit-for-bit what serialized execution
-// produces (property-tested by replaying the concurrent run's
-// linearization order). Rejections are epoch-neutral, which makes
-// overload shedding — the regime that needs throughput most — nearly
-// conflict-free; accept-heavy storms degrade gracefully via an adaptive
-// gate that falls back to serialized submission with periodic re-probes.
-// SetSpeculation toggles the path (on by default) on a Service, a Pool
-// and the Engine; Stats counts Speculative/Conflicts, the exposition
-// carries rtdls_admission_{speculative,conflicts}_total per shard,
-// dlload folds a conflict rate into BENCH_wire.json, and dlserve's
-// -mutex-profile-fraction/-block-profile-rate expose the remaining lock
-// waits on the -pprof-addr listener. BenchmarkSubmitContention sweeps
-// submitter counts over low- and 100%-conflict mixes with speculation on
-// and off; CI gates the scaling and overhead contracts machine-adaptively
-// via cmd/benchgate -contention (BENCH_contention.json).
+// Since 4.0.0 each shard has exactly one admission path: Submit and
+// SubmitBatch take the shard's lock and run the Fig. 2 test
+// (Scheduler.Submit) under it, so the decision stream of one shard is the
+// lock acquisition order replayed serially. The optimistic two-phase path
+// of 3.4.0 (off-lock planning with an epoch-validated install) is gone:
+// it rebuilt a private availability view whenever the epoch moved, which
+// at 1,024 nodes made the median submit about 5× slower, and no benchmark workload
+// showed it winning. Concurrency comes from independent shards instead: a
+// pool's SubmitBatch fans its per-shard sub-batches out in parallel, and
+// Stats reads atomics only, so scrapes never wait on a shard lock.
+// dlserve's -mutex-profile-fraction/-block-profile-rate show the lock
+// waits on the -pprof-addr listener.
 //
 // Build and test with the standard toolchain — go build ./... and
 // go test ./... — or via the Makefile (make ci mirrors the CI pipeline:

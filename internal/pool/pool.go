@@ -384,7 +384,7 @@ func (p *Pool) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]service.Deci
 	}
 
 	// Fan out: one goroutine per target shard, each submitting its
-	// sub-batch in one shard-level (speculative, group-installed) batch.
+	// sub-batch in one shard-level batch under that shard's lock.
 	subDec := make([][]service.Decision, len(p.shards))
 	subErr := make([]error, len(p.shards))
 	var wg sync.WaitGroup
@@ -527,14 +527,6 @@ func (p *Pool) SetAccepting(accepting bool) { p.draining.Store(!accepting) }
 // endpoint's readiness signal.
 func (p *Pool) Accepting() bool { return !p.draining.Load() && !p.closed.Load() }
 
-// SetSpeculation toggles optimistic two-phase admission on every shard
-// (on by default; see service.Service.SetSpeculation).
-func (p *Pool) SetSpeculation(on bool) {
-	for _, sh := range p.shards {
-		sh.SetSpeculation(on)
-	}
-}
-
 // Event re-exports the service event type for pool subscribers.
 type Event = service.Event
 
@@ -564,8 +556,6 @@ func (p *Pool) Stats() service.Stats {
 		agg.NodesDown += st.NodesDown
 		agg.Displaced += st.Displaced
 		agg.LateCommits += st.LateCommits
-		agg.Speculative += st.Speculative
-		agg.Conflicts += st.Conflicts
 		if st.LastRelease > agg.LastRelease {
 			agg.LastRelease = st.LastRelease
 		}

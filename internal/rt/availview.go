@@ -26,7 +26,10 @@ import (
 // against a changed fleet, not on the per-submit path.
 //
 // Tentative assignments are undo-logged: Rollback restores the view to its
-// base (committed) state in O(changed · log n), and CommitBase folds
+// base (committed) state in O(min(changed · log n, changed + n log n)) —
+// a log longer than the node count (a deep queue replan retimes the same
+// nodes many times over) is replayed into the times array and the index
+// rebuilt once instead of repaired per entry — and CommitBase folds
 // committed release times into that base, so the scheduler can keep one
 // view alive across submissions instead of re-sorting a fresh snapshot per
 // arrival.
@@ -173,7 +176,8 @@ func (v *AvailView) invalidatePrefix() {
 }
 
 // ensureTree rebuilds the treap from times/elig when the whole key space
-// changed (Reset, SetEligible). Single retimings never set dirty — they are
+// changed (Reset, SetEligible) or a Rollback replayed an undo log longer
+// than the node count. Single retimings never set dirty — they are
 // repaired in place by remove+insert.
 func (v *AvailView) ensureTree() {
 	if !v.dirty {
@@ -414,11 +418,17 @@ func (v *AvailView) Apply(ids []int, release []float64) {
 }
 
 // Rollback undoes every Apply since the last Reset/CommitBase, restoring
-// the base snapshot in O(changed · log n). A view with no tentative
-// assignments rolls back for free.
+// the base snapshot in O(changed · log n). A log longer than the node count
+// instead marks the index dirty, so the replay only rewrites times and the
+// next query rebuilds the tree once in O(n log n); the (eligible, time, id)
+// order is total, so the rebuilt index answers every query identically. A
+// view with no tentative assignments rolls back for free.
 func (v *AvailView) Rollback() {
 	if len(v.undoID) == 0 {
 		return
+	}
+	if len(v.undoID) > len(v.times) {
+		v.dirty = true
 	}
 	for i := len(v.undoID) - 1; i >= 0; i-- {
 		v.setTime(v.undoID[i], v.undoTime[i])

@@ -277,6 +277,26 @@ func TestAvailViewRollbackRestoresBase(t *testing.T) {
 	if !slices.Equal(v.Times(), base) {
 		t.Fatalf("Rollback did not restore base times: got %v want %v", v.Times(), base)
 	}
+
+	// An undo log longer than the node count takes the rebuild path: the
+	// replay rewrites times and the index is rebuilt on the next query.
+	for i := 0; i < 3*len(base); i++ {
+		v.Apply([]int{i % len(base), (i * 5) % len(base)}, []float64{float64(100 + i), float64(200 - i)})
+	}
+	if got := len(v.undoID); got <= len(base) {
+		t.Fatalf("undo log holds %d entries, want more than %d nodes", got, len(base))
+	}
+	v.Rollback()
+	if got := v.EarliestTimeAt(3); got != wantTimes[2] {
+		t.Fatalf("EarliestTimeAt(3) after long-log Rollback = %v, want %v", got, wantTimes[2])
+	}
+	ids, times = v.Earliest(8)
+	if !slices.Equal(ids, wantIDs) || !slices.Equal(times, wantTimes) {
+		t.Fatalf("long-log Rollback did not restore base order: got %v %v want %v %v", ids, times, wantIDs, wantTimes)
+	}
+	if !slices.Equal(v.Times(), base) {
+		t.Fatalf("long-log Rollback did not restore base times: got %v want %v", v.Times(), base)
+	}
 }
 
 // TestAvailViewCommitBaseSticks covers the base-sync path: committed

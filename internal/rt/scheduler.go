@@ -63,13 +63,6 @@ type Scheduler struct {
 	clVersion uint64
 	liveCache int
 
-	// queueGen counts waiting-queue mutations that leave the cluster's own
-	// mutation counter untouched (accepts, revalidations). Together with
-	// cluster.Version() it forms the Epoch optimistic submissions validate
-	// against — see speculate.go. Rejections don't bump it: they change
-	// nothing a later admission test reads.
-	queueGen uint64
-
 	// Testing hooks (never set in production): noFastReject skips the
 	// FastRejecter consultation, forceRefView serves every view query from
 	// the full-sort reference implementation, and resyncEachUse rebuilds
@@ -276,7 +269,6 @@ func (s *Scheduler) Submit(t *Task, now float64) (accepted bool, err error) {
 	q := int64(len(s.waiting))
 	s.queueLen.Store(q)
 	storeMax(&s.maxQueue, q)
-	s.queueGen++
 	if s.obs != nil {
 		s.obs.OnAccept(now, t, newPlans[t.ID])
 	}
@@ -410,7 +402,6 @@ func (s *Scheduler) revalidateLocked(now float64) (displaced []*Task, err error)
 	clear(oldPlans)
 	s.spare = oldPlans
 	s.queueLen.Store(int64(len(s.waiting)))
-	s.queueGen++
 	return displaced, nil
 }
 

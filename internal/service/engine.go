@@ -62,9 +62,6 @@ type Engine interface {
 	// NodeStates returns every node's lifecycle state, indexed by the
 	// engine-wide node id (shard-major for a pool).
 	NodeStates() []NodeState
-	// SetSpeculation toggles optimistic (two-phase) admission on every
-	// shard. On by default; off forces the fully serialized path.
-	SetSpeculation(on bool)
 	// Close marks the engine closed and tears down the event stream.
 	Close() error
 }

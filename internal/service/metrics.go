@@ -49,9 +49,6 @@ type shardInstruments struct {
 
 	displacements *metrics.Counter
 	fleetNodes    map[cluster.NodeState]*metrics.Gauge
-
-	speculative *metrics.Counter
-	conflicts   *metrics.Counter
 }
 
 // NewMetrics returns a Metrics bound to the registry, with the per-stage
@@ -118,10 +115,6 @@ func (m *Metrics) shard(i int) *shardInstruments {
 	}
 	si.displacements = m.reg.Counter("rtdls_displacements_total",
 		"Admitted-but-uncommitted tasks that lost their seat to a node drain or failure, per shard.", lbl)
-	si.speculative = m.reg.Counter("rtdls_admission_speculative_total",
-		"Admission decisions planned off-lock and installed on an unchanged epoch, per shard.", lbl)
-	si.conflicts = m.reg.Counter("rtdls_admission_conflicts_total",
-		"Speculative admissions discarded on an epoch conflict and replayed serialized, per shard.", lbl)
 	si.fleetNodes = make(map[cluster.NodeState]*metrics.Gauge, 3)
 	for _, st := range cluster.NodeStates() {
 		si.fleetNodes[st] = m.reg.Gauge("rtdls_fleet_nodes",

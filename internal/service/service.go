@@ -123,12 +123,10 @@ type Stats struct {
 	Readmitted    int
 	LateCommits   int
 
-	// Optimistic-admission accounting: Speculative counts decisions whose
-	// planning ran off-lock and installed on an unchanged epoch, Conflicts
-	// the planning-backed speculations discarded because the epoch moved
-	// (each replayed through the serialized path).
+	// Deprecated: always 0; optimistic admission was removed in 4.0.0.
 	Speculative int
-	Conflicts   int
+	// Deprecated: always 0; optimistic admission was removed in 4.0.0.
+	Conflicts int
 }
 
 // RejectRatio returns Rejects/Arrivals (0 when nothing has arrived).
@@ -191,17 +189,6 @@ type Service struct {
 	displaced     atomic.Int64
 	lateCommits   atomic.Int64
 
-	// Optimistic-admission state (speculate.go): the default-on gate, the
-	// consecutive-conflict streak driving the adaptive backoff with its
-	// probe counter, the install/discard totals surfaced by Stats and
-	// /metrics, and a pool of per-goroutine speculation contexts.
-	speculating   atomic.Bool
-	specStreak    atomic.Int64
-	specProbe     atomic.Uint64
-	specInstalls  atomic.Int64
-	specConflicts atomic.Int64
-	specPool      sync.Pool
-
 	exec ExecStats // under mu
 
 	met  *Metrics          // nil when uninstrumented
@@ -246,7 +233,6 @@ func New(cfg Config) (*Service, error) {
 		exec:     ExecStats{MaxLateness: math.Inf(-1)},
 	}
 	s.accepting.Store(true)
-	s.speculating.Store(true)
 	if cfg.Metrics != nil {
 		s.met = cfg.Metrics
 		s.inst = cfg.Metrics.shard(cfg.Shard)
@@ -285,20 +271,13 @@ func (s *Service) Clock() Clock { return s.clock }
 // context, or a closed service (ErrClusterBusy) — never infeasibility: an
 // infeasible task is a clean decision with Reason ErrInfeasible.
 //
-// By default the admission test runs optimistically: planning happens
-// off-lock against an epoch-stamped snapshot, and the lock is held only for
-// an epoch check plus the install (see speculate.go and SetSpeculation).
-// Concurrent submitters therefore plan in parallel; the decision stream is
-// bit-for-bit what a serialized execution would produce.
+// The whole admission test runs under the service lock, so concurrent
+// submitters to one Service are serialized; the decision stream is that of
+// the lock acquisition order.
 func (s *Service) Submit(ctx context.Context, task rt.Task) (Decision, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return Decision{}, err
-		}
-	}
-	if s.specAllowed() {
-		if d, err, ok := s.submitSpeculative(task); ok {
-			return d, err
 		}
 	}
 	s.mu.Lock()
@@ -308,16 +287,9 @@ func (s *Service) Submit(ctx context.Context, task rt.Task) (Decision, error) {
 
 // SubmitBatch submits several tasks under one lock acquisition, in order,
 // and returns one decision per considered task. On a hard error the
-// decisions made so far are returned alongside it. Like Submit, the batch
-// plans speculatively by default — every task is tested off-lock against
-// one evolving snapshot and the whole batch group-installs under a single
-// epoch check.
+// decisions made so far are returned alongside it. The context is
+// consulted before each task.
 func (s *Service) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]Decision, error) {
-	if len(tasks) > 0 && s.specAllowed() {
-		if d, err, ok := s.submitBatchSpeculative(ctx, tasks); ok {
-			return d, err
-		}
-	}
 	decisions := make([]Decision, 0, len(tasks))
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -582,8 +554,6 @@ func (s *Service) Stats() Stats {
 		NodesDown:     int(s.nodesDown.Load()),
 		Displaced:     int(s.displaced.Load()),
 		LateCommits:   int(s.lateCommits.Load()),
-		Speculative:   int(s.specInstalls.Load()),
-		Conflicts:     int(s.specConflicts.Load()),
 	}
 	if span := math.Max(now, rel); span > 0 {
 		st.Utilization = busy / (float64(s.nodesTotal.Load()) * span)

@@ -35,15 +35,16 @@ import (
 // sound infeasibility fast-reject ahead of planning (decision stream
 // proven bit-for-bit unchanged), per-submit cost flat from 100 to 10,000
 // nodes and ratio-gated in CI (cmd/benchgate, BENCH_index.json).
-// 3.4.0 made admission optimistically concurrent: submissions plan
-// against an epoch-stamped snapshot outside the shard lock and install
-// under it only after an epoch check, falling back to the serialized
-// path on conflict (SetSpeculation toggles it; on by default), so the
-// decision stream stays bit-identical to serialized execution while
-// low-conflict traffic scales with submitters — gated in CI by
-// cmd/benchgate -contention over BENCH_contention.json, with
-// speculative/conflict counters in Stats, /metrics and BENCH_wire.json.
-const Version = "3.4.0"
+// 3.4.0 added optimistic two-phase admission (off-lock planning with an
+// epoch-validated install) and fanned pool SubmitBatch out to its shards
+// concurrently.
+// 4.0.0 removed optimistic admission again: it never beat the serialized
+// path on the benchmark and made the median submit at 1,024 nodes about
+// 5× slower. Each shard has one admission path, the Fig. 2 test under the
+// shard lock. The method that toggled speculation is gone, the
+// rtdls_admission_{speculative,conflicts}_total series are no longer
+// exported, and ServiceStats.Speculative/Conflicts always read 0.
+const Version = "4.0.0"
 
 // Params holds the cluster's linear cost coefficients: Cms is the time to
 // transmit one unit of load from the head node to a processing node, Cps

@@ -611,20 +611,10 @@ func (s *Service) SubscribeStream(buffer int) *Subscription {
 // until Close.
 func (s *Service) SetAccepting(accepting bool) { s.engine.SetAccepting(accepting) }
 
-// / Accepting reports whether the admission gate is open: true until
+// Accepting reports whether the admission gate is open: true until
 // SetAccepting(false) or Close. Lock-free — health checks poll it without
 // contending with submissions.
 func (s *Service) Accepting() bool { return s.engine.Accepting() }
-
-// SetSpeculation toggles optimistic two-phase admission (on by default):
-// when on, the schedulability test plans off-lock against an epoch-stamped
-// snapshot and the shard lock is held only for an epoch check plus the
-// install, so concurrent submitters plan in parallel; a conflicting epoch
-// falls back to the serialized path, keeping the decision stream bit-for-bit
-// identical to a serialized execution. Turning it off forces every
-// submission through the serialized path — an operational escape hatch and
-// the baseline for the equivalence tests.
-func (s *Service) SetSpeculation(on bool) { s.engine.SetSpeculation(on) }
 
 // Stats returns a consistent snapshot of the admission counters, queue
 // depth and cluster utilization — aggregated over every shard for a
