@@ -5,7 +5,7 @@ GO ?= go
 FUZZTIME ?= 10s
 FUZZ_PKGS := ./internal/core ./internal/dlt ./internal/fleet ./internal/rt
 
-.PHONY: build test bench bench-json bench-index fmt fmt-check vet race fuzz-smoke serve loadtest wire-smoke ci
+.PHONY: build test bench bench-json bench-index fmt fmt-check vet race fuzz-smoke serve loadtest wire-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -73,5 +73,9 @@ loadtest:
 # commits and zero dropped events after drain).
 wire-smoke:
 	./scripts/wire_smoke.sh
+
+# Non-test Go lines outside perfbench/ (informational; CI prints it).
+loc:
+	./scripts/loc.sh
 
 ci: build fmt-check vet race bench fuzz-smoke

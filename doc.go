@@ -51,12 +51,12 @@
 //
 // Beyond the paper, the whole stack is generalised from one shared
 // (Cms, Cps) cost pair to per-node coefficients: pass WithNodeCosts or
-// WithCostSpread (or build clusters with NewHeteroCluster), partition
-// mixed-speed node sets with NewHeteroModel, and note that a uniform cost
-// table reproduces the homogeneous scheduler bit for bit. Heterogeneous
-// plans are admitted against exactly simulated dispatch timelines,
-// preserving the hard real-time guarantee without the paper's common-Cms
-// assumption.
+// WithCostSpread (or build clusters with NewHeteroCluster) and partition
+// mixed-speed node sets with NewHeteroModel. Each algorithm has one
+// planner over the cost table; the paper's homogeneous cluster is the
+// uniform table. Single-round plans on a non-uniform table are admitted
+// against exactly simulated dispatch timelines, preserving the hard
+// real-time guarantee without the paper's common-Cms assumption.
 //
 // For scale-out, the service shards into a multi-cluster admission pool
 // (internal/pool), after the multi-source divisible-load systems of

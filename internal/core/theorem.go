@@ -43,7 +43,7 @@ func (m *Model) CheckLemma2() bool {
 func (m *Model) CheckAssertion3() bool {
 	for i, ri := range m.avail {
 		lhs := m.rn - ri
-		rhs := m.baseCps(i)/m.cpsI[i]*m.exec - m.exec
+		rhs := m.cost(i).Cps/m.cpsI[i]*m.exec - m.exec
 		if !leq(rhs, lhs) {
 			return false
 		}

@@ -14,10 +14,10 @@ import (
 // distribution strategies…'") and Wu, Cao and Robertazzi ("Optimal
 // Divisible Load Scheduling for Resource-Sharing Network").
 //
-// The homogeneous formulas of dlt.go are the special case where every
-// NodeCost is equal; CostModel detects that case so uniform cost models can
-// be routed through the original closed forms, reproducing the legacy
-// scheduler bit for bit.
+// A homogeneous cluster is simply the table whose entries are all equal:
+// every planner runs one code path over the table, and the closed forms of
+// dlt.go (E(σ,n), the geometric α) are what the recurrences below reduce
+// to, up to floating-point rounding, on a uniform table.
 
 // NodeCost holds one processing node's linear cost coefficients: Cms is the
 // time to transmit one unit of load over that node's link, Cps the time to
@@ -44,10 +44,12 @@ func (c NodeCost) Validate() error {
 func (c NodeCost) Params() Params { return Params{Cms: c.Cms, Cps: c.Cps} }
 
 // CostModel is an immutable per-node cost table for a cluster of N nodes,
-// indexed by node id. A CostModel whose entries are all equal is "uniform":
-// every consumer routes uniform models through the original homogeneous
-// closed forms, so a uniform CostModel reproduces the scalar-Params code
-// paths exactly.
+// indexed by node id. A CostModel whose entries are all equal (with a
+// positive Cms) is "uniform": it runs through the same code as any other
+// table, and in planning the only thing uniformity selects is the
+// admission estimate of the single-round planners: the paper's Eq. 6
+// bound, which Theorem 4 proves for a common Cms (see
+// rt.PlanContext.SingleRoundEst).
 type CostModel struct {
 	costs   []NodeCost
 	uniform bool
@@ -73,8 +75,8 @@ func NewCostModel(costs []NodeCost) (*CostModel, error) {
 		}
 	}
 	if uniform && !(cp[0].Cms > 0) {
-		// The homogeneous closed forms require Cms > 0 (β < 1); keep a
-		// uniform zero-Cms model on the general path instead.
+		// The paper's model requires Cms > 0 (β < 1); a uniform zero-Cms
+		// table is not the paper's cluster.
 		uniform = false
 	}
 	return &CostModel{costs: cp, uniform: uniform, fastest: minCost(cp)}, nil
@@ -91,7 +93,7 @@ func minCost(costs []NodeCost) NodeCost {
 }
 
 // UniformCosts returns the cost model in which every one of the n nodes has
-// the scalar coefficients p — the legacy homogeneous cluster.
+// the scalar coefficients p — the paper's homogeneous cluster.
 func UniformCosts(p Params, n int) (*CostModel, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -112,14 +114,14 @@ func (m *CostModel) N() int { return len(m.costs) }
 // At returns node id's coefficients.
 func (m *CostModel) At(id int) NodeCost { return m.costs[id] }
 
-// Uniform reports whether every node has identical coefficients, i.e. the
-// model is the legacy homogeneous cluster.
+// Uniform reports whether every node has identical coefficients with a
+// positive Cms, i.e. the table is the paper's homogeneous cluster.
 func (m *CostModel) Uniform() bool { return m.uniform }
 
 // Reference returns the scalar Params consumers use as the model's
-// normalisation anchor (workload calibration, ñ_min seeds): for a uniform
-// model the shared coefficients themselves — bit-identical to the legacy
-// scalars — and otherwise the arithmetic per-node means.
+// normalisation anchor (workload calibration): for a uniform model the
+// shared coefficients themselves, and otherwise the arithmetic per-node
+// means.
 func (m *CostModel) Reference() Params {
 	if m.uniform {
 		return m.costs[0].Params()
@@ -149,19 +151,6 @@ func (m *CostModel) Select(ids []int) []NodeCost {
 	return out
 }
 
-// SimulateFor re-simulates the single-round dispatch of a plan that
-// occupies the given node ids (in dispatch order, with parallel avail and
-// alphas): the scalar fast path for uniform models — bit-identical to the
-// legacy SimulateDispatch — and per-node costs otherwise. Both the driver
-// and the independent verifier re-check committed plans through this one
-// helper so their timelines cannot diverge.
-func (m *CostModel) SimulateFor(ids []int, sigma float64, avail, alphas []float64) (*Dispatch, error) {
-	if m.uniform {
-		return SimulateDispatch(m.costs[0].Params(), sigma, avail, alphas)
-	}
-	return SimulateDispatchHetero(m.Select(ids), sigma, avail, alphas)
-}
-
 // Costs returns a copy of the full per-node table, indexed by node id.
 func (m *CostModel) Costs() []NodeCost {
 	out := make([]NodeCost, len(m.costs))
@@ -184,50 +173,79 @@ func validateCosts(costs []NodeCost) error {
 
 // HeteroAlphas returns the optimal single-round partition for heterogeneous
 // nodes that all become available simultaneously, dispatched sequentially
-// in slice order. Equalising consecutive finish times gives the recurrence
-//
-//	α_{i+1} = α_i · Cps_i / (Cms_{i+1} + Cps_{i+1})
-//
-// whose homogeneous special case is the geometric αᵢ = βⁱ⁻¹·α₁ of
-// Params.Alphas. Entries are positive and sum to 1 (up to rounding).
+// in slice order. It is AlphasFor on the table costs in slice order.
 func HeteroAlphas(costs []NodeCost) ([]float64, error) {
 	if err := validateCosts(costs); err != nil {
 		return nil, err
 	}
-	n := len(costs)
-	prods := make([]float64, n)
-	prods[0] = 1
-	prod, sum := 1.0, 0.0
-	for i := 1; i < n; i++ {
-		prod *= costs[i-1].Cps / (costs[i].Cms + costs[i].Cps)
-		prods[i] = prod
-		sum += prod
-	}
-	a1 := 1 / (1 + sum)
-	for i := range prods {
-		prods[i] *= a1
-	}
-	return prods, nil
+	return (&CostModel{costs: costs}).AlphasFor(identity(len(costs))), nil
 }
 
 // HeteroExecTime returns the optimal single-round execution time of a load
 // σ on heterogeneous nodes that all become available at the same instant,
 // dispatched sequentially in slice order — the generalisation of E(σ,n).
-// Under the optimal partition every node finishes simultaneously, so the
-// makespan is the first node's send-plus-compute time
-//
-//	E = α₁·σ·(Cms₁ + Cps₁)
-//
-// which for uniform costs reduces to σ·Cms/(1−βⁿ).
+// It is ExecTimeFor on the table costs in slice order.
 func HeteroExecTime(costs []NodeCost, sigma float64) (float64, error) {
 	if sigma < 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
 		return 0, fmt.Errorf("dlt: HeteroExecTime needs sigma >= 0, got %v: %w", sigma, errs.ErrBadConfig)
 	}
-	alphas, err := HeteroAlphas(costs)
-	if err != nil {
+	if err := validateCosts(costs); err != nil {
 		return 0, err
 	}
-	return alphas[0] * sigma * (costs[0].Cms + costs[0].Cps), nil
+	return (&CostModel{costs: costs}).ExecTimeFor(identity(len(costs)), sigma), nil
+}
+
+// AlphasFor returns the optimal single-round partition over the nodes ids
+// (non-empty, in dispatch order) when they all become available at the
+// same instant. Equalising consecutive finish times gives the recurrence
+//
+//	α_{i+1} = α_i · Cps_i / (Cms_{i+1} + Cps_{i+1})
+//
+// whose uniform special case is the geometric αᵢ = βⁱ⁻¹·α₁ of
+// Params.Alphas. Entries are positive and sum to 1 (up to rounding). The
+// result is freshly allocated.
+func (m *CostModel) AlphasFor(ids []int) []float64 {
+	a := make([]float64, len(ids))
+	a1 := 1 / (1 + m.chain(ids, a))
+	for i := range a {
+		a[i] *= a1
+	}
+	return a
+}
+
+// ExecTimeFor returns the optimal single-round execution time of a load σ
+// on the nodes ids (non-empty, in dispatch order) when they all become
+// available at the same instant. Under the optimal partition every node
+// finishes simultaneously, so the makespan is the first node's
+// send-plus-compute time
+//
+//	E = α₁·σ·(Cms₁ + Cps₁)
+//
+// which for a uniform table reduces to E(σ,n) = σ·Cms/(1−βⁿ). It does not
+// allocate.
+func (m *CostModel) ExecTimeFor(ids []int, sigma float64) float64 {
+	a1 := 1 / (1 + m.chain(ids, nil))
+	c := m.costs[ids[0]]
+	return a1 * sigma * (c.Cms + c.Cps)
+}
+
+// chain evaluates the partition recurrence's running products
+// Π_{j=2..i} Cps_{j-1}/(Cms_j + Cps_j) and returns their sum over i = 2..n.
+// When prods is non-nil it receives the products (prods[0] = 1).
+func (m *CostModel) chain(ids []int, prods []float64) float64 {
+	if prods != nil {
+		prods[0] = 1
+	}
+	prod, sum := 1.0, 0.0
+	for i := 1; i < len(ids); i++ {
+		c := m.costs[ids[i]]
+		prod *= m.costs[ids[i-1]].Cps / (c.Cms + c.Cps)
+		if prods != nil {
+			prods[i] = prod
+		}
+		sum += prod
+	}
+	return sum
 }
 
 // HeteroMinNodesBound returns a safe lower bound on the number of nodes a
@@ -251,53 +269,4 @@ func HeteroMinNodesBound(m *CostModel, sigma, slack float64) (n int, ok bool) {
 		return 1, true
 	}
 	return MinNodesBound(f.Params(), sigma, slack)
-}
-
-// SimulateDispatchHetero computes the exact per-node timeline for
-// sequentially distributing a load σ, partitioned by alphas, to
-// heterogeneous nodes with the given available times. costs, avail and
-// alphas are parallel, in dispatch order; avail must be sorted
-// non-decreasing. It generalises SimulateDispatch, whose homogeneous loop
-// it reproduces operation for operation when every cost is equal.
-func SimulateDispatchHetero(costs []NodeCost, sigma float64, avail, alphas []float64) (*Dispatch, error) {
-	if err := validateCosts(costs); err != nil {
-		return nil, err
-	}
-	n := len(costs)
-	if len(avail) != n || len(alphas) != n {
-		return nil, fmt.Errorf("dlt: SimulateDispatchHetero: %d costs, %d avail times, %d alphas: %w",
-			n, len(avail), len(alphas), errs.ErrBadConfig)
-	}
-	if sigma < 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
-		return nil, fmt.Errorf("dlt: SimulateDispatchHetero: invalid sigma %v: %w", sigma, errs.ErrBadConfig)
-	}
-	for i := 1; i < n; i++ {
-		if avail[i] < avail[i-1] {
-			return nil, fmt.Errorf("dlt: SimulateDispatchHetero: avail times not sorted (avail[%d]=%v < avail[%d]=%v): %w",
-				i, avail[i], i-1, avail[i-1], errs.ErrBadConfig)
-		}
-	}
-	d := &Dispatch{
-		SendStart:  make([]float64, n),
-		SendEnd:    make([]float64, n),
-		Finish:     make([]float64, n),
-		Completion: math.Inf(-1),
-	}
-	linkFree := math.Inf(-1)
-	for i := 0; i < n; i++ {
-		if alphas[i] < 0 {
-			return nil, fmt.Errorf("dlt: SimulateDispatchHetero: negative alpha[%d]=%v: %w", i, alphas[i], errs.ErrBadConfig)
-		}
-		b := math.Max(avail[i], linkFree)
-		send := alphas[i] * sigma * costs[i].Cms
-		comp := alphas[i] * sigma * costs[i].Cps
-		d.SendStart[i] = b
-		d.SendEnd[i] = b + send
-		d.Finish[i] = b + send + comp
-		linkFree = d.SendEnd[i]
-		if d.Finish[i] > d.Completion {
-			d.Completion = d.Finish[i]
-		}
-	}
-	return d, nil
 }

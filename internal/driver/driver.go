@@ -56,10 +56,12 @@ type Config struct {
 	Rounds     int // dispatch rounds for AlgDLTMR (default 2)
 
 	// NodeCosts optionally gives every node its own cost coefficients
-	// (len must equal N). A uniform table reproduces the scalar Cms/Cps
-	// run bit for bit; a non-uniform one switches every partitioner to the
-	// heterogeneous path. When set, the workload is calibrated against the
-	// table's reference (mean) coefficients instead of Cms/Cps.
+	// (len must equal N). Every partitioner plans over the cost table
+	// either way; a uniform table is the scalar Cms/Cps cluster and runs
+	// identically, while a non-uniform one admits single-round plans
+	// against their exact dispatch completion instead of the Eq. 6 bound.
+	// When set, the workload is calibrated against the table's reference
+	// (mean) coefficients instead of Cms/Cps.
 	NodeCosts []dlt.NodeCost
 
 	// CmsSpread and CpsSpread, when > 1 and NodeCosts is empty, generate a
@@ -186,24 +188,7 @@ func SpreadCosts(n int, p dlt.Params, cmsSpread, cpsSpread float64, seed uint64)
 
 // NewPartitioner constructs the rt.Partitioner named by the configuration.
 func (c Config) NewPartitioner() (rt.Partitioner, error) {
-	switch c.Algorithm {
-	case AlgDLTIIT:
-		return rt.IITDLT{}, nil
-	case AlgOPRMN:
-		return rt.OPR{}, nil
-	case AlgOPRAN:
-		return rt.OPR{AllNodes: true}, nil
-	case AlgUserSplit:
-		return rt.UserSplit{}, nil
-	case AlgDLTMR:
-		r := c.Rounds
-		if r == 0 {
-			r = 2
-		}
-		return multiround.New(r)
-	default:
-		return nil, fmt.Errorf("driver: unknown algorithm %q (want one of %v): %w", c.Algorithm, Algorithms(), errs.ErrBadConfig)
-	}
+	return PartitionerFor(c.Algorithm, c.Rounds, nil)
 }
 
 // Result aggregates one run's metrics.
@@ -255,25 +240,29 @@ type Result struct {
 	LateCommits int `json:",omitempty"`
 }
 
-// PartitionerFor builds the partitioner named by algorithm through the
-// shared Config constructor path, with the cluster's cost model filled in
-// (node count, reference coefficients, per-node table). rounds applies to
-// AlgDLTMR (0 = the default of 2). Today's partitioners read per-node
-// costs at plan time via rt.PlanContext, so the table is carried here for
-// uniform validation and for any future construction-time use, not
-// because current construction depends on it. This is the single
-// constructor path shared by the service options and the legacy
-// NewScheduler facade.
+// PartitionerFor builds the partitioner named by algorithm; rounds applies
+// to AlgDLTMR (0 = the default of 2). Partitioners read the cluster's cost
+// table at plan time through rt.PlanContext, so construction needs no
+// cluster state and cm is not read. This is the single constructor path
+// shared by Config, the service options and the NewScheduler facade.
 func PartitionerFor(algorithm string, rounds int, cm *dlt.CostModel) (rt.Partitioner, error) {
-	cfg := Config{Algorithm: algorithm, Rounds: rounds}
-	if cm != nil {
-		ref := cm.Reference()
-		cfg.N = cm.N()
-		cfg.Cms = ref.Cms
-		cfg.Cps = ref.Cps
-		cfg.NodeCosts = cm.Costs()
+	switch algorithm {
+	case AlgDLTIIT:
+		return rt.IITDLT{}, nil
+	case AlgOPRMN:
+		return rt.OPR{}, nil
+	case AlgOPRAN:
+		return rt.OPR{AllNodes: true}, nil
+	case AlgUserSplit:
+		return rt.UserSplit{}, nil
+	case AlgDLTMR:
+		if rounds == 0 {
+			rounds = 2
+		}
+		return multiround.New(rounds)
+	default:
+		return nil, fmt.Errorf("driver: unknown algorithm %q (want one of %v): %w", algorithm, Algorithms(), errs.ErrBadConfig)
 	}
-	return cfg.NewPartitioner()
 }
 
 // NewService assembles the admission service a run executes against: the

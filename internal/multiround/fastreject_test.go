@@ -123,7 +123,7 @@ func TestFastRejectSoundness(t *testing.T) {
 				for i := range avail {
 					avail[i] = rng.Float64() * 8000
 				}
-				ctx := rt.PlanContext{P: cl.Params(), N: n, Now: rng.Float64() * 2000,
+				ctx := rt.PlanContext{N: n, Now: rng.Float64() * 2000,
 					View: rt.NewAvailView(avail), Costs: cl.Costs()}
 				task := &rt.Task{ID: 1, Arrival: ctx.Now * rng.Float64(),
 					Sigma: 1 + 400*rng.Float64(), RelDeadline: 10 + 7000*rng.Float64()}

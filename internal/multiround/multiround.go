@@ -28,70 +28,44 @@ type Timeline struct {
 	Completion float64   // max over Finish
 }
 
-// Schedule simulates dispatching a load σ to nodes with the given available
-// times (sorted non-decreasing), where node i receives totals[i]·σ split
-// into `rounds` equal installments, transmitted round-robin (round 1 to all
-// nodes in order, then round 2, …) over the sequential link.
+// Schedule simulates dispatching a load σ to homogeneous nodes with the
+// given available times (sorted non-decreasing), where node i receives
+// totals[i]·σ split into `rounds` equal installments, transmitted
+// round-robin (round 1 to all nodes in order, then round 2, …) over the
+// sequential link. It is ScheduleHetero with every node at p.
 func Schedule(p dlt.Params, sigma float64, avail, totals []float64, rounds int) (*Timeline, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(avail)
-	if n == 0 || len(totals) != n {
-		return nil, fmt.Errorf("multiround: %d avail times, %d totals", n, len(totals))
+	costs := make([]dlt.NodeCost, len(avail))
+	for i := range costs {
+		costs[i] = dlt.NodeCost{Cms: p.Cms, Cps: p.Cps}
 	}
-	if rounds < 1 {
-		return nil, fmt.Errorf("multiround: rounds must be >= 1, got %d", rounds)
-	}
-	if !(sigma >= 0) || math.IsInf(sigma, 0) {
-		return nil, fmt.Errorf("multiround: invalid sigma %v", sigma)
-	}
-	for i := 1; i < n; i++ {
-		if avail[i] < avail[i-1] {
-			return nil, fmt.Errorf("multiround: avail times not sorted at %d", i)
-		}
-	}
-	linkFree := math.Inf(-1)
-	compEnd := make([]float64, n)
-	for i := range compEnd {
-		compEnd[i] = math.Inf(-1)
-	}
-	tl := &Timeline{Finish: make([]float64, n), Completion: math.Inf(-1)}
-	for r := 0; r < rounds; r++ {
-		for i := 0; i < n; i++ {
-			if totals[i] < 0 {
-				return nil, fmt.Errorf("multiround: negative total[%d]=%v", i, totals[i])
-			}
-			chunk := totals[i] * sigma / float64(rounds)
-			sendStart := math.Max(linkFree, avail[i])
-			sendEnd := sendStart + chunk*p.Cms
-			linkFree = sendEnd
-			compStart := math.Max(sendEnd, compEnd[i])
-			compEnd[i] = compStart + chunk*p.Cps
-		}
-	}
-	for i := 0; i < n; i++ {
-		tl.Finish[i] = math.Max(compEnd[i], avail[i])
-		if tl.Finish[i] > tl.Completion {
-			tl.Completion = tl.Finish[i]
-		}
-	}
-	return tl, nil
+	return ScheduleHetero(costs, sigma, avail, totals, rounds)
 }
 
 // ScheduleHetero is Schedule over per-node cost coefficients: node i's
 // installments are transmitted at its own Cms_i and computed at its own
-// Cps_i. costs, avail and totals are parallel, in dispatch order. With
-// every cost equal it reproduces Schedule operation for operation.
+// Cps_i. costs, avail and totals are parallel, in dispatch order.
 func ScheduleHetero(costs []dlt.NodeCost, sigma float64, avail, totals []float64, rounds int) (*Timeline, error) {
-	n := len(costs)
-	if n == 0 || len(avail) != n || len(totals) != n {
-		return nil, fmt.Errorf("multiround: %d costs, %d avail times, %d totals", n, len(avail), len(totals))
+	cm, err := dlt.NewCostModel(costs)
+	if err != nil {
+		return nil, fmt.Errorf("multiround: %w", err)
 	}
-	for i, c := range costs {
-		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("multiround: costs[%d]: %w", i, err)
-		}
+	ids := make([]int, len(costs))
+	for i := range ids {
+		ids[i] = i
+	}
+	return schedule(cm, ids, sigma, avail, totals, rounds)
+}
+
+// schedule is the one multi-round timeline loop: node ids[i] of the table
+// becomes available at avail[i] and receives totals[i]·σ in `rounds`
+// installments at its own coefficients.
+func schedule(cm *dlt.CostModel, ids []int, sigma float64, avail, totals []float64, rounds int) (*Timeline, error) {
+	n := len(ids)
+	if n == 0 || len(avail) != n || len(totals) != n {
+		return nil, fmt.Errorf("multiround: %d nodes, %d avail times, %d totals", n, len(avail), len(totals))
 	}
 	if rounds < 1 {
 		return nil, fmt.Errorf("multiround: rounds must be >= 1, got %d", rounds)
@@ -111,16 +85,17 @@ func ScheduleHetero(costs []dlt.NodeCost, sigma float64, avail, totals []float64
 	}
 	tl := &Timeline{Finish: make([]float64, n), Completion: math.Inf(-1)}
 	for r := 0; r < rounds; r++ {
-		for i := 0; i < n; i++ {
+		for i, id := range ids {
 			if totals[i] < 0 {
 				return nil, fmt.Errorf("multiround: negative total[%d]=%v", i, totals[i])
 			}
+			c := cm.At(id)
 			chunk := totals[i] * sigma / float64(rounds)
 			sendStart := math.Max(linkFree, avail[i])
-			sendEnd := sendStart + chunk*costs[i].Cms
+			sendEnd := sendStart + chunk*c.Cms
 			linkFree = sendEnd
 			compStart := math.Max(sendEnd, compEnd[i])
-			compEnd[i] = compStart + chunk*costs[i].Cps
+			compEnd[i] = compStart + chunk*c.Cps
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -171,45 +146,43 @@ func (p Partitioner) FastReject(ctx *rt.PlanContext, t *rt.Task) bool {
 // isolates the value of multi-round dispatch); the chosen node set is then
 // evaluated with the exact multi-round timeline, and whichever of the
 // multi-round and single-round schedules completes earlier is returned.
-// Because the multi-round estimate is an exact simulation (and the
-// single-round estimate is the Theorem-4 upper bound), admission against it
-// preserves the real-time guarantee.
+// The multi-round estimate is an exact simulation, and the single-round
+// estimate is the one rt.PlanContext.SingleRoundEst admits IIT-DLT plans
+// against (the Theorem-4 bound on a uniform table, the exact dispatch
+// otherwise), so admission against either preserves the real-time
+// guarantee.
 func (p Partitioner) Plan(ctx *rt.PlanContext, t *rt.Task) (*rt.Plan, error) {
-	if cm := ctx.Costs; cm != nil && !cm.Uniform() {
-		return p.planHetero(cm, ctx, t)
-	}
-	floor := math.Max(ctx.Now, t.Arrival)
-	absD := t.AbsDeadline()
-	slack := absD - floor
-	n0, ok := dlt.MinNodesBound(ctx.P, t.Sigma, slack)
-	if !ok || n0 > ctx.N {
+	n0, ok := ctx.MinNodes(t)
+	if !ok {
 		return nil, rt.ErrInfeasible
 	}
+	absD := t.AbsDeadline()
 	eps := 1e-9 * math.Max(1, math.Abs(absD))
 	for n := n0; n <= ctx.N; n++ {
 		ids, starts := ctx.ClampedStarts(t, n)
-		m, err := core.New(ctx.P, t.Sigma, starts)
+		m, err := core.NewOnNodes(ctx.Costs, ids, t.Sigma, starts)
 		if err != nil {
 			return nil, fmt.Errorf("multiround: heterogeneous model: %w", err)
 		}
-		tl, err := Schedule(ctx.P, t.Sigma, starts, m.Alphas(), p.rounds)
+		tl, err := schedule(ctx.Costs, ids, t.Sigma, starts, m.Alphas(), p.rounds)
 		if err != nil {
 			return nil, err
 		}
-		srEst := m.EstCompletion()
+		srEst, d, err := ctx.SingleRoundEst(m)
+		if err != nil {
+			return nil, fmt.Errorf("multiround: single-round dispatch: %w", err)
+		}
 		if math.Min(tl.Completion, srEst) > absD+eps {
 			// Expand beyond ñ_min(t) when waiting pushed the completion
 			// past the deadline, as the single-round partitioner does.
 			continue
 		}
 		if tl.Completion <= srEst {
-			release := make([]float64, n)
-			copy(release, tl.Finish)
 			return &rt.Plan{
 				Task:    t,
 				Nodes:   ids,
 				Starts:  starts,
-				Release: release,
+				Release: tl.Finish,
 				Alphas:  m.Alphas(),
 				Est:     tl.Completion,
 				Rounds:  p.rounds,
@@ -218,89 +191,11 @@ func (p Partitioner) Plan(ctx *rt.PlanContext, t *rt.Task) (*rt.Plan, error) {
 		// Single-round dispatch is better for this task (per-chunk latency
 		// outweighs the overlap); fall back to the exact single-round
 		// timeline.
-		d, err := m.Dispatch()
+		pl, err := rt.SingleRoundPlan(t, ids, m, srEst, d)
 		if err != nil {
 			return nil, fmt.Errorf("multiround: single-round dispatch: %w", err)
 		}
-		release := make([]float64, n)
-		for i := range release {
-			release[i] = math.Max(d.Finish[i], starts[i])
-		}
-		return &rt.Plan{
-			Task:    t,
-			Nodes:   ids,
-			Starts:  starts,
-			Release: release,
-			Alphas:  m.Alphas(),
-			Est:     srEst,
-			Rounds:  1,
-		}, nil
-	}
-	return nil, rt.ErrInfeasible
-}
-
-// planHetero is the per-node-cost branch of Plan: the heterogeneous model
-// partition of core.NewHetero, installments at each node's own
-// coefficients, and both the multi-round and the single-round fallback
-// admitted against exactly simulated timelines (the Theorem-4 bound is not
-// available for per-node Cms, and exact simulation preserves the hard
-// real-time guarantee by itself).
-func (p Partitioner) planHetero(cm *dlt.CostModel, ctx *rt.PlanContext, t *rt.Task) (*rt.Plan, error) {
-	floor := math.Max(ctx.Now, t.Arrival)
-	absD := t.AbsDeadline()
-	slack := absD - floor
-	n0, ok := dlt.HeteroMinNodesBound(cm, t.Sigma, slack)
-	if !ok || n0 > ctx.N {
-		return nil, rt.ErrInfeasible
-	}
-	eps := 1e-9 * math.Max(1, math.Abs(absD))
-	for n := n0; n <= ctx.N; n++ {
-		ids, starts := ctx.ClampedStarts(t, n)
-		costs := cm.Select(ids)
-		m, err := core.NewHetero(costs, t.Sigma, starts)
-		if err != nil {
-			return nil, fmt.Errorf("multiround: heterogeneous model: %w", err)
-		}
-		tl, err := ScheduleHetero(costs, t.Sigma, starts, m.Alphas(), p.rounds)
-		if err != nil {
-			return nil, err
-		}
-		d, err := m.Dispatch()
-		if err != nil {
-			return nil, fmt.Errorf("multiround: single-round dispatch: %w", err)
-		}
-		srEst := d.Completion
-		if math.Min(tl.Completion, srEst) > absD+eps {
-			continue
-		}
-		if tl.Completion <= srEst {
-			release := make([]float64, n)
-			for i := range release {
-				release[i] = math.Max(tl.Finish[i], starts[i])
-			}
-			return &rt.Plan{
-				Task:    t,
-				Nodes:   ids,
-				Starts:  starts,
-				Release: release,
-				Alphas:  m.Alphas(),
-				Est:     tl.Completion,
-				Rounds:  p.rounds,
-			}, nil
-		}
-		release := make([]float64, n)
-		for i := range release {
-			release[i] = math.Max(d.Finish[i], starts[i])
-		}
-		return &rt.Plan{
-			Task:    t,
-			Nodes:   ids,
-			Starts:  starts,
-			Release: release,
-			Alphas:  m.Alphas(),
-			Est:     srEst,
-			Rounds:  1,
-		}, nil
+		return pl, nil
 	}
 	return nil, rt.ErrInfeasible
 }

@@ -133,7 +133,11 @@ func TestZeroSigma(t *testing.T) {
 func newCtx(avail []float64, now float64) *rt.PlanContext {
 	times := make([]float64, len(avail))
 	copy(times, avail)
-	return &rt.PlanContext{P: baseline, N: len(avail), Now: now, View: rt.NewAvailView(times)}
+	cm, err := dlt.UniformCosts(baseline, len(avail))
+	if err != nil {
+		panic(err)
+	}
+	return &rt.PlanContext{N: len(avail), Now: now, View: rt.NewAvailView(times), Costs: cm}
 }
 
 func TestPlanMeetsDeadlineOrRejects(t *testing.T) {

@@ -1,9 +1,5 @@
 package rt
 
-import (
-	"rtdls/internal/dlt"
-)
-
 // OPR is the baseline partitioner from the authors' RTAS'07 paper [22]:
 // the Optimal Partitioning Rule for simultaneously allocated homogeneous
 // nodes, *without* IIT utilisation. A task assigned n nodes cannot start
@@ -38,25 +34,22 @@ func (o OPR) FastReject(ctx *PlanContext, t *Task) bool {
 	return ctx.ProvablyLate(t, ctx.N)
 }
 
-// Plan implements Partitioner.
+// Plan implements Partitioner. Because every node starts at r_n and the
+// partition equalises finish times, the estimate r_n + E(σ,n) is exact on
+// any cost table.
 func (o OPR) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
-	if cm := ctx.heteroCosts(); cm != nil {
-		return planHeteroOPR(o, cm, ctx, t)
-	}
-	absD := t.AbsDeadline()
 	n0 := ctx.N
 	if !o.AllNodes {
-		slack := absD - ctx.startFloor(t)
 		var ok bool
-		n0, ok = dlt.MinNodesBound(ctx.P, t.Sigma, slack)
-		if !ok || n0 > ctx.N {
+		if n0, ok = ctx.MinNodes(t); !ok {
 			return nil, ErrInfeasible
 		}
 	}
+	absD := t.AbsDeadline()
 	for n := n0; n <= ctx.N; n++ {
 		ids, starts := clampedStarts(ctx, t, n)
 		rn := starts[n-1]
-		est := rn + ctx.P.ExecTime(t.Sigma, n)
+		est := rn + ctx.Costs.ExecTimeFor(ids, t.Sigma)
 		if est > absD+deadlineEps(absD) {
 			// Like IITDLT, expand beyond ñ_min(t) when waiting for busy
 			// nodes pushed the completion past the deadline — but OPR must
@@ -76,7 +69,7 @@ func (o OPR) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
 			Nodes:             ids,
 			Starts:            starts,
 			Release:           uniform(n, est),
-			Alphas:            ctx.P.Alphas(n),
+			Alphas:            ctx.Costs.AlphasFor(ids),
 			Est:               est,
 			ReservedIdle:      reserved,
 			SimultaneousStart: true,

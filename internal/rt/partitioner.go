@@ -3,6 +3,7 @@ package rt
 import (
 	"math"
 
+	"rtdls/internal/core"
 	"rtdls/internal/dlt"
 	"rtdls/internal/errs"
 )
@@ -16,23 +17,59 @@ var ErrInfeasible = errs.ErrInfeasible
 
 // PlanContext carries the cluster state a partitioner plans against.
 type PlanContext struct {
-	P     dlt.Params     // reference cost coefficients (the shared pair when homogeneous)
 	N     int            // cluster size
 	Now   float64        // current time; starts are clamped to max(Now, task arrival)
 	View  *AvailView     // tentative per-node release times
-	Costs *dlt.CostModel // per-node cost coefficients; nil or uniform = homogeneous
+	Costs *dlt.CostModel // per-node cost coefficients, indexed by node id (required)
 }
 
-// heteroCosts returns the per-node cost model when the cluster is genuinely
-// heterogeneous, and nil otherwise. Uniform cost models deliberately return
-// nil so every partitioner routes them through the legacy homogeneous
-// formulas — that is what makes a uniform CostModel reproduce the scalar
-// (Cms, Cps) scheduler bit for bit.
-func (ctx *PlanContext) heteroCosts() *dlt.CostModel {
-	if ctx.Costs != nil && !ctx.Costs.Uniform() {
-		return ctx.Costs
+// SingleRoundEst returns the completion a single-round plan built on the
+// model m is admitted against. This is the one place the admission rule
+// is chosen:
+//
+//   - On a uniform cost table, the paper's Eq. 6 estimate r_n + Ê, which
+//     Theorem 4 proves bounds the actual dispatch completion. d is nil:
+//     the caller simulates the dispatch only for the plan it keeps.
+//   - On a non-uniform table, the exactly simulated dispatch completion,
+//     because Theorem 4 is proved only for a common Cms. d is that
+//     simulation.
+//
+// Either way the admitted estimate bounds the actual completion, so the
+// hard real-time guarantee holds.
+func (ctx *PlanContext) SingleRoundEst(m *core.Model) (est float64, d *dlt.Dispatch, err error) {
+	if ctx.Costs.Uniform() {
+		return m.EstCompletion(), nil, nil
 	}
-	return nil
+	d, err = m.Dispatch()
+	if err != nil {
+		return 0, nil, err
+	}
+	return d.Completion, d, nil
+}
+
+// SingleRoundPlan returns the single-round plan of the model m on the
+// nodes ids, admitted at est. Each node is released at its exact finish
+// time: the linear cost model makes the dispatch timeline fully
+// deterministic, so the head node knows precisely when every node frees
+// up (and a node never finishes before its own start). d is the dispatch
+// SingleRoundEst returned; when it is nil the dispatch is simulated here,
+// so only the plan a partitioner keeps pays for it.
+func SingleRoundPlan(t *Task, ids []int, m *core.Model, est float64, d *dlt.Dispatch) (*Plan, error) {
+	if d == nil {
+		var err error
+		if d, err = m.Dispatch(); err != nil {
+			return nil, err
+		}
+	}
+	return &Plan{
+		Task:    t,
+		Nodes:   ids,
+		Starts:  m.Avail(),
+		Release: d.Finish,
+		Alphas:  m.Alphas(),
+		Est:     est,
+		Rounds:  1,
+	}, nil
 }
 
 // startFloor returns the earliest instant the task may occupy a node.
@@ -68,8 +105,8 @@ type FastRejecter interface {
 // ClampedStarts materialises r_k = max(Release(node_k), A_i, now) for the k
 // earliest-available nodes (Fig. 2's "set processor available times",
 // clamped so replanned waiting tasks cannot start in the past). The
-// returned slices are freshly allocated and owned by the caller; external
-// partitioners (package multiround) use it for the same node-selection rule.
+// returned slices are freshly allocated and owned by the caller; every
+// partitioner, package multiround's included, selects nodes through it.
 func (ctx *PlanContext) ClampedStarts(t *Task, k int) (ids []int, starts []float64) {
 	ids = make([]int, k)
 	starts = make([]float64, k)
@@ -99,35 +136,29 @@ func (ctx *PlanContext) ProvablyLate(t *Task, k int) bool {
 	absD := t.AbsDeadline()
 	floor := ctx.startFloor(t)
 	lb := math.Max(floor, ctx.View.EarliestTimeAt(k))
-	cms := ctx.P.Cms
-	if cm := ctx.heteroCosts(); cm != nil {
-		cms = cm.Fastest().Cms
-	}
-	if send := floor + t.Sigma*cms; send > lb {
+	if send := floor + t.Sigma*ctx.Costs.Fastest().Cms; send > lb {
 		lb = send
 	}
 	return lb >= absD+deadlineEps(absD)
 }
 
+// MinNodes returns the ñ_min(t) bound the node searches of IITDLT, OPR-MN
+// and multiround start from (Fig. 2's "n ← ñ_min(t)", evaluated at the
+// cost table's componentwise-fastest coefficients). ok is false when even
+// starting immediately the deadline cannot be met: γ ≤ 0, or ñ_min > N.
+func (ctx *PlanContext) MinNodes(t *Task) (n int, ok bool) {
+	n, ok = dlt.HeteroMinNodesBound(ctx.Costs, t.Sigma, t.AbsDeadline()-ctx.startFloor(t))
+	return n, ok && n <= ctx.N
+}
+
 // FastRejectMinNodes is the shared FastReject implementation for
 // partitioners whose node search starts at the ñ_min(t) bound (IITDLT,
-// OPR-MN, multiround): infeasible when the bound itself fails (γ ≤ 0 or
-// ñ_min > N — exactly the pre-loop check Plan performs), or when even the
-// ñ_min earliest nodes are provably too late.
+// OPR-MN, multiround): infeasible when the bound itself fails (exactly the
+// pre-loop check Plan performs), or when even the ñ_min earliest nodes are
+// provably too late.
 func (ctx *PlanContext) FastRejectMinNodes(t *Task) bool {
-	absD := t.AbsDeadline()
-	slack := absD - ctx.startFloor(t)
-	var n0 int
-	var ok bool
-	if cm := ctx.heteroCosts(); cm != nil {
-		n0, ok = dlt.HeteroMinNodesBound(cm, t.Sigma, slack)
-	} else {
-		n0, ok = dlt.MinNodesBound(ctx.P, t.Sigma, slack)
-	}
-	if !ok || n0 > ctx.N {
-		return true
-	}
-	return ctx.ProvablyLate(t, n0)
+	n0, ok := ctx.MinNodes(t)
+	return !ok || ctx.ProvablyLate(t, n0)
 }
 
 // deadlineEps returns the absolute tolerance for comparing a completion

@@ -16,7 +16,11 @@ var baseline = dlt.Params{Cms: 1, Cps: 100}
 func newCtx(p dlt.Params, avail []float64, now float64) *PlanContext {
 	times := make([]float64, len(avail))
 	copy(times, avail)
-	return &PlanContext{P: p, N: len(avail), Now: now, View: NewAvailView(times)}
+	cm, err := dlt.UniformCosts(p, len(avail))
+	if err != nil {
+		panic(err)
+	}
+	return &PlanContext{N: len(avail), Now: now, View: NewAvailView(times), Costs: cm}
 }
 
 func TestIITDLTIdleCluster(t *testing.T) {

@@ -13,14 +13,16 @@ type Plan struct {
 	Nodes  []int     // node ids, ordered by available time
 	Starts []float64 // per node: when the node is occupied by this task
 	// Release holds the per-node release times used for bookkeeping. For
-	// DLT-IIT and the OPR baselines every entry equals Est; for User-Split
-	// it is the analytically exact per-node completion time C_i.
+	// the OPR baselines every entry equals Est; for DLT-IIT, User-Split and
+	// multi-round plans it is each node's exact finish time.
 	Release []float64
 	Alphas  []float64 // load fractions, αᵢ ≥ 0, Σαᵢ = 1
 
 	// Est is the completion-time estimate used by the schedulability test:
-	// r_n + Ê for DLT-IIT (Theorem 4 upper-bounds the actual completion by
-	// it), r_n + E for OPR, and the exact C(σ,n) for User-Split.
+	// for DLT-IIT r_n + Ê on a uniform cost table (Theorem 4 upper-bounds
+	// the actual completion by it) and the exact dispatch completion on a
+	// non-uniform one (see PlanContext.SingleRoundEst), r_n + E for OPR,
+	// and the exact C(σ,n) for User-Split.
 	Est float64
 
 	// ReservedIdle is the inserted idle time this assignment wastes by

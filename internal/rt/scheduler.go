@@ -175,7 +175,7 @@ func (s *Scheduler) Submit(t *Task, now float64) (accepted bool, err error) {
 		s.observeEarlyReject(stageObs, t0)
 		return false, nil
 	}
-	s.pctx = PlanContext{P: s.cl.Params(), N: live, Now: now, View: view, Costs: s.cl.Costs()}
+	s.pctx = PlanContext{N: live, Now: now, View: view, Costs: s.cl.Costs()}
 
 	// Infeasibility fast-reject: a hopeless task — provably unable to meet
 	// its deadline even under the partitioner's most optimistic bounds —
@@ -366,7 +366,7 @@ func (s *Scheduler) revalidateLocked(now float64) (displaced []*Task, err error)
 		return nil, nil
 	}
 	view, live := s.freshViewLocked()
-	s.pctx = PlanContext{P: s.cl.Params(), N: live, Now: now, View: view, Costs: s.cl.Costs()}
+	s.pctx = PlanContext{N: live, Now: now, View: view, Costs: s.cl.Costs()}
 	keep := s.scratch[:0]
 	newPlans := s.spare
 	for _, w := range s.waiting {

@@ -222,7 +222,7 @@ func TestFastRejectSoundness(t *testing.T) {
 				avail[i] = rng.Float64() * 8000
 			}
 			view := NewAvailView(avail)
-			ctx := PlanContext{P: cla.Params(), N: n, Now: rng.Float64() * 2000, View: view, Costs: cla.Costs()}
+			ctx := PlanContext{N: n, Now: rng.Float64() * 2000, View: view, Costs: cla.Costs()}
 			task := &Task{
 				ID:          1,
 				Arrival:     ctx.Now * rng.Float64(),

@@ -34,11 +34,9 @@ func (UserSplit) FastReject(ctx *PlanContext, t *Task) bool {
 	return ctx.ProvablyLate(t, k)
 }
 
-// Plan implements Partitioner.
+// Plan implements Partitioner. The estimate is the exact dispatch
+// completion, on any cost table.
 func (UserSplit) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
-	if cm := ctx.heteroCosts(); cm != nil {
-		return planHeteroUserSplit(cm, ctx, t)
-	}
 	k := t.UserN
 	if k < 1 {
 		// No node count can meet the deadline even on an idle cluster
@@ -50,18 +48,17 @@ func (UserSplit) Plan(ctx *PlanContext, t *Task) (*Plan, error) {
 			t.ID, k, ctx.N)
 	}
 	ids, starts := clampedStarts(ctx, t, k)
-	d, err := dlt.UserSplitDispatch(ctx.P, t.Sigma, starts)
+	alphas := dlt.EqualAlphas(k)
+	d, err := ctx.Costs.SimulateFor(ids, t.Sigma, starts, alphas)
 	if err != nil {
 		return nil, fmt.Errorf("rt: user-split: %w", err)
 	}
-	release := make([]float64, k)
-	copy(release, d.Finish)
 	return &Plan{
 		Task:    t,
 		Nodes:   ids,
 		Starts:  starts,
-		Release: release,
-		Alphas:  dlt.EqualAlphas(k),
+		Release: d.Finish,
+		Alphas:  alphas,
 		Est:     d.Completion,
 		Rounds:  1,
 	}, nil

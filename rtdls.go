@@ -44,7 +44,12 @@ import (
 // shard lock. The method that toggled speculation is gone, the
 // rtdls_admission_{speculative,conflicts}_total series are no longer
 // exported, and ServiceStats.Speculative/Conflicts always read 0.
-const Version = "4.0.0"
+// 4.1.0 folded the homogeneous/heterogeneous fork: every algorithm has one
+// planner over the cost table, and a uniform table is the ordinary case.
+// Single-round plans are still admitted against Eq. 6 on a uniform table
+// and against the exact dispatch completion on a non-uniform one. No
+// exported symbol was removed.
+const Version = "4.1.0"
 
 // Params holds the cluster's linear cost coefficients: Cms is the time to
 // transmit one unit of load from the head node to a processing node, Cps
@@ -55,8 +60,10 @@ type Params = dlt.Params
 // for heterogeneous clusters.
 type NodeCost = dlt.NodeCost
 
-// CostModel is an immutable per-node cost table; a uniform table
-// reproduces the homogeneous scalar-Params behaviour bit for bit.
+// CostModel is an immutable per-node cost table. Every planner runs over
+// it; a uniform table is the paper's homogeneous cluster and differs only
+// in the admission estimate (Eq. 6 instead of the exact dispatch; see the
+// README's "Heterogeneous clusters").
 type CostModel = dlt.CostModel
 
 // NewCostModel builds a per-node cost model (indexed by node id).
@@ -141,12 +148,10 @@ type Scheduler = rt.Scheduler
 type Partitioner = rt.Partitioner
 
 // NewScheduler builds a scheduler over the cluster for the given policy
-// and algorithm identifier (see Algorithms). Construction is routed
-// through the same path as the Service options, with the cluster's actual
-// cost table filled in — partitioners themselves read per-node costs at
-// plan time through the scheduler's PlanContext, so heterogeneous
-// clusters are handled either way; AlgDLTMR keeps its default round
-// count.
+// and algorithm identifier (see Algorithms), through the same constructor
+// as the Service options. Partitioners read the cluster's cost table at
+// plan time, so homogeneous and heterogeneous clusters take the same
+// path; AlgDLTMR keeps its default round count.
 //
 // Deprecated: use New with WithCosts/WithPolicy/WithAlgorithm — the
 // Service wraps this scheduler with commit handling, an event stream and
