@@ -5,7 +5,7 @@ GO ?= go
 FUZZTIME ?= 10s
 FUZZ_PKGS := ./internal/core ./internal/dlt ./internal/fleet ./internal/rt
 
-.PHONY: build test bench bench-json bench-index fmt fmt-check vet race fuzz-smoke serve loadtest wire-smoke loc ci
+.PHONY: build test bench bench-json bench-index perfbench fmt fmt-check vet race fuzz-smoke serve loadtest wire-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,11 @@ bench-json:
 # ns/op grows super-linearly (> MAX_RATIO, default 15x over a 100x fleet).
 bench-index:
 	./scripts/bench_index.sh
+
+# perfbench/ is its own Go module (replace rtdls => ../), so ./... above
+# never compiles it; vet and smoke-test it against this checkout.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 fmt:
 	gofmt -w .
@@ -78,4 +83,4 @@ wire-smoke:
 loc:
 	./scripts/loc.sh
 
-ci: build fmt-check vet race bench fuzz-smoke
+ci: build fmt-check vet race bench perfbench bench-index fuzz-smoke

@@ -70,9 +70,15 @@
 // and priced clusters. Decisions and events report the placing shard,
 // Stats aggregates the fleet, and ShardStats/Clusters expose per-shard
 // views. The default single-cluster service is exactly the K=1 special
-// case: WithShards(1) is property-tested to be bit-for-bit identical to
-// it, and a K-shard RoundRobin pool reproduces K independent
-// single-cluster simulations decision for decision. See examples/pool.
+// case: New and Simulate build their engine through one constructor,
+// which alone decides between a bare single cluster and a pool, and
+// Simulate replays both through one loop. Its workload calibration has
+// one rule, the classic one: a per-node spread or cost table never moves
+// the offered rate, and each shard adds its capacity relative to the
+// reference cluster. So WithShards(1) is property-tested to be bit-for-bit
+// identical to the single cluster, cost spreads included, and a K-shard
+// RoundRobin pool reproduces K independent single-cluster simulations
+// decision for decision. See examples/pool.
 //
 // Since 3.0.0 the same engine serves over the wire. cmd/dlserve is an
 // HTTP/JSON front end (internal/server) exposing submit, batch, stats, a

@@ -1,9 +1,10 @@
 // Package driver replays a synthetic workload through the admission
-// service: a workload generator feeds arrivals into a service.Service bound
-// to a SimClock, the discrete-event engine sequences arrivals and commit
+// engine: a workload generator feeds arrivals into a service.Engine — a
+// single cluster or a sharded pool, built by Config.NewEngine — bound to a
+// SimClock, the discrete-event engine sequences arrivals and commit
 // instants, and the run's admission and execution metrics are collected
 // into a Result. Run is deliberately a thin adapter — the schedulability
-// test, commit processing and metric accumulation all live in the service,
+// test, commit processing and metric accumulation all live in the engine,
 // so the simulated engine is the same one a deployment drives under
 // wall-clock time.
 package driver
@@ -79,9 +80,11 @@ type Config struct {
 	// Shards splits the fleet into K independent clusters fronted by the
 	// Placement routing layer (see internal/pool). 0 or unset runs the
 	// classic single cluster; any shard option — including Shards=1 —
-	// routes through the pool engine instead. The workload's arrival rate
-	// scales with the pool's aggregate capacity so SystemLoad keeps its
-	// meaning (see runPool).
+	// routes through the pool engine instead (see NewEngine). The arrival
+	// rate follows one calibration rule for both: a per-node spread or
+	// cost table never moves it, and each shard adds its capacity relative
+	// to the reference cluster, so K=1 offers exactly the classic stream,
+	// cost spreads included, and reproduces the classic run.
 	Shards int
 
 	// Placement routes each arrival to a shard; nil defaults to round
@@ -265,64 +268,20 @@ func PartitionerFor(algorithm string, rounds int, cm *dlt.CostModel) (rt.Partiti
 	}
 }
 
-// NewService assembles the admission service a run executes against: the
-// resolved cost model's cluster, the parsed policy, the configured
-// partitioner, and the given clock. It is the shared construction path of
-// Run and of callers that want to drive the same engine themselves.
-func (c Config) NewService(clock service.Clock) (*service.Service, error) {
-	pol, err := rt.ParsePolicy(c.Policy)
-	if err != nil {
-		return nil, err
-	}
-	part, err := c.NewPartitioner()
-	if err != nil {
-		return nil, err
-	}
-	cm, err := c.CostModel()
-	if err != nil {
-		return nil, err
-	}
-	cl, err := cluster.NewHetero(cm.Costs())
-	if err != nil {
-		return nil, err
-	}
-	return service.New(service.Config{
-		Cluster:     cl,
-		Policy:      pol,
-		Partitioner: part,
-		Clock:       clock,
-		Observer:    c.Observer,
-	})
-}
-
 // Run executes one simulation and returns its metrics. It is a thin
-// adapter over the admission service: a SimClock binds the service to the
-// discrete-event engine, arrival events submit generated tasks, commit
-// events start due transmissions, and the Result is assembled from the
-// service's statistics.
+// adapter over the admission engine NewEngine builds — a single cluster or
+// a pool, driven identically: a SimClock binds the engine to the
+// discrete-event simulator, arrival events submit generated tasks, commit
+// events start due transmissions, churn events apply fleet operations, and
+// the Result is assembled from the engine's statistics.
 func Run(cfg Config) (*Result, error) {
-	if cfg.multiShard() {
-		return runPool(cfg)
-	}
 	s := sim.New()
-	svc, err := cfg.NewService(service.SimClock{Sim: s})
+	eng, err := cfg.NewEngine(service.SimClock{Sim: s}, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	// The workload is calibrated against the scalar reference coefficients
-	// so a heterogeneity sweep holds the offered load constant; explicit
-	// NodeCosts anchor it to the table's own reference instead. The table
-	// is read back from the service's cluster — the one the run actually
-	// schedules against — rather than resolved a second time.
-	wp := cfg.Params()
-	if len(cfg.NodeCosts) > 0 {
-		wp = svc.Cluster().Costs().Reference()
-	}
-	gen, err := workload.New(workload.Config{
-		N: cfg.N, Params: wp,
-		SystemLoad: cfg.SystemLoad, AvgSigma: cfg.AvgSigma,
-		DCRatio: cfg.DCRatio, Horizon: cfg.Horizon, Seed: cfg.Seed,
-	})
+	clusters := eng.Clusters()
+	gen, err := cfg.workload(clusters)
 	if err != nil {
 		return nil, err
 	}
@@ -338,11 +297,11 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Commit events start every transmission that is due; the service
+	// Commit events start every transmission that is due; the engine
 	// records the execution metrics from the exact dispatch timelines.
 	var rearmCommit func()
 	onCommit := func() {
-		if err := svc.CommitDue(s.Now()); err != nil {
+		if err := eng.CommitDue(s.Now()); err != nil {
 			fail(err)
 			return
 		}
@@ -350,7 +309,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	rearmCommit = func() {
 		commitHandle.Cancel()
-		if at, ok := svc.NextCommit(); ok {
+		if at, ok := eng.NextCommit(); ok {
 			commitHandle = s.AtPrio(at, sim.PrioCommit, onCommit)
 		}
 	}
@@ -364,7 +323,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	onArrival = func(t *rt.Task) {
-		if _, err := svc.Submit(ctx, *t); err != nil {
+		if _, err := eng.Submit(ctx, *t); err != nil {
 			fail(err)
 			return
 		}
@@ -375,11 +334,13 @@ func Run(cfg Config) (*Result, error) {
 
 	// Churn ops are ordinary discrete events at PrioDefault: after commits
 	// due at the same instant, before arrivals at it. A displacement can
-	// change the earliest pending commit, so the commit chain is re-armed.
+	// change the earliest pending commit, so the commit chain is re-armed;
+	// on a pool a displaced task is first offered to the other live shards,
+	// and re-admissions show up as Readmitted.
 	for _, op := range cfg.Churn.Sorted() {
 		op := op
 		s.AtPrio(op.At, sim.PrioDefault, func() {
-			if _, err := fleet.Apply(svc, op); err != nil {
+			if _, err := fleet.Apply(eng, op); err != nil {
 				fail(fmt.Errorf("driver: churn %q: %w", op.String(), err))
 				return
 			}
@@ -388,15 +349,15 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Run to completion: arrivals stop at the horizon, then the waiting
-	// queue drains through its remaining commit events.
+	// queues drain through their remaining commit events.
 	for runErr == nil && s.Step() {
 	}
 	if runErr != nil {
 		return nil, runErr
 	}
 
-	st := svc.Stats()
-	ex := svc.Exec()
+	st := eng.Stats()
+	ex := eng.Exec()
 	res := &Result{
 		Config:      cfg,
 		Arrivals:    st.Arrivals,
@@ -405,6 +366,7 @@ func Run(cfg Config) (*Result, error) {
 		Committed:   ex.Committed,
 		MaxLateness: ex.MaxLateness,
 		MaxQueueLen: st.MaxQueueLen,
+		Shards:      eng.Shards(),
 		Displaced:   st.Displaced,
 		Readmitted:  st.Readmitted,
 		LateCommits: st.LateCommits,
@@ -435,10 +397,52 @@ func Run(cfg Config) (*Result, error) {
 	} else {
 		res.MaxLateness = 0
 	}
-	cl := svc.Cluster()
-	res.Shards = 1
-	res.Span = math.Max(cfg.Horizon, cl.LastRelease())
-	res.Utilization = cl.Utilization(res.Span)
-	res.ReservedIdleFrac = cl.ReservedIdle() / (float64(cfg.N) * res.Span)
+	if pl, ok := eng.(*pool.Pool); ok {
+		res.Placement = pl.Placement().Name()
+		res.Spillovers = pl.Spillovers()
+		for _, ss := range pl.ShardStats() {
+			res.ShardRejectRatios = append(res.ShardRejectRatios, ss.RejectRatio())
+		}
+	}
+	nodes := 0
+	for _, cl := range clusters {
+		nodes += cl.N()
+	}
+	res.Span = math.Max(cfg.Horizon, st.LastRelease)
+	res.Utilization = st.BusyTime / (float64(nodes) * res.Span)
+	res.ReservedIdleFrac = st.ReservedIdle / (float64(nodes) * res.Span)
 	return res, nil
+}
+
+// workload builds the arrival stream of a run over the given clusters. One
+// calibration rule holds for every engine, the classic one: SystemLoad is
+// measured in units of E(Avgσ, N) under the reference coefficients — the
+// scalar Cms/Cps, or an explicit cost table's reference (shard 0's on a
+// pool) — so a per-node spread never moves the offered rate. On a pool the
+// rate is multiplied by Σ_j E(Avgσ, N)/E_j(Avgσ, N_j), where E_j uses the
+// reference the classic run would use for shard j (K for identical
+// shards); a single cluster contributes exactly 1.
+func (c Config) workload(clusters []*cluster.Cluster) (*workload.Generator, error) {
+	ref := func(cl *cluster.Cluster) dlt.Params {
+		if len(c.NodeCosts) > 0 || len(c.ShardNodeCosts) > 0 {
+			return cl.Costs().Reference()
+		}
+		return c.Params()
+	}
+	wc := workload.Config{
+		N: c.N, Params: ref(clusters[0]),
+		SystemLoad: c.SystemLoad, AvgSigma: c.AvgSigma,
+		DCRatio: c.DCRatio, Horizon: c.Horizon, Seed: c.Seed,
+	}
+	if !(wc.AvgSigma > 0) {
+		return workload.New(wc) // refuses the size before E(Avgσ, ·) panics on it
+	}
+	scale := 0.0
+	for _, cl := range clusters {
+		wj := wc
+		wj.N, wj.Params = cl.N(), ref(cl)
+		scale += wc.AvgExecTime() / wj.AvgExecTime()
+	}
+	wc.SystemLoad *= scale
+	return workload.New(wc)
 }

@@ -12,25 +12,39 @@ import (
 // TestPoolRunSingleShardMatchesClassic: a Shards=1 pool run routes
 // through the pool engine yet must reproduce the classic single-cluster
 // Run bit for bit — the K=1 special-case property at the driver level.
+// The spread inputs pin the workload calibration: a per-node cost spread
+// must not move the pool's offered rate away from the classic one.
 func TestPoolRunSingleShardMatchesClassic(t *testing.T) {
+	inputs := []struct {
+		name string
+		set  func(c *Config)
+	}{
+		{"uniform", func(c *Config) {}},
+		{"hetero-spread4", func(c *Config) { c.CpsSpread = 4; c.CmsSpread = 2; c.HeteroSeed = 3 }},
+		{"cps-spread4", func(c *Config) { c.CpsSpread = 4 }},
+	}
 	for _, alg := range []string{AlgDLTIIT, AlgOPRMN, AlgUserSplit, AlgOPRAN, AlgDLTMR} {
-		cfg := Default()
-		cfg.Algorithm = alg
-		cfg.SystemLoad = 0.85
-		cfg.Horizon = 1e5
-		want, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: classic: %v", alg, err)
+		for _, in := range inputs {
+			name := alg + "/" + in.name
+			cfg := Default()
+			cfg.Algorithm = alg
+			cfg.SystemLoad = 0.85
+			cfg.Horizon = 1e5
+			in.set(&cfg)
+			want, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s: classic: %v", name, err)
+			}
+			cfg.Shards = 1
+			got, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s: pool: %v", name, err)
+			}
+			if got.Shards != 1 || want.Shards != 1 {
+				t.Fatalf("%s: shards %d / %d", name, want.Shards, got.Shards)
+			}
+			requireBitIdentical(t, name+"/shards=1", want, got)
 		}
-		cfg.Shards = 1
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: pool: %v", alg, err)
-		}
-		if got.Shards != 1 || want.Shards != 1 {
-			t.Fatalf("%s: shards %d / %d", alg, want.Shards, got.Shards)
-		}
-		requireBitIdentical(t, alg+"/shards=1", want, got)
 	}
 }
 

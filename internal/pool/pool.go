@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -203,115 +204,121 @@ func (p *Pool) Spillovers() int { return int(p.spillovers.Load()) }
 // malformed input, a cancelled context or a closed pool — never
 // infeasibility.
 func (p *Pool) Submit(ctx context.Context, task rt.Task) (service.Decision, error) {
+	if err := p.gate(ctx); err != nil {
+		return service.Decision{}, err
+	}
+	sc := p.scratch.Get().(*placeScratch)
+	defer p.scratch.Put(sc)
+	order, err := p.route(sc, &task, true)
+	if err != nil {
+		return service.Decision{}, err
+	}
+	return p.offer(ctx, task, order, -1, service.Decision{})
+}
+
+// gate refuses a submission before placement runs: a cancelled context, a
+// closed pool or a closed admission gate.
+func (p *Pool) gate(ctx context.Context) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return service.Decision{}, err
+			return err
 		}
 	}
 	if p.closed.Load() {
-		return service.Decision{}, fmt.Errorf("pool: closed: %w", errs.ErrClusterBusy)
+		return fmt.Errorf("pool: closed: %w", errs.ErrClusterBusy)
 	}
 	if p.draining.Load() {
-		return service.Decision{}, fmt.Errorf("pool: draining: %w", errs.ErrClusterBusy)
+		return fmt.Errorf("pool: draining: %w", errs.ErrClusterBusy)
 	}
-	seq := p.seq.Add(1) - 1
+	return nil
+}
 
-	sc := p.scratch.Get().(*placeScratch)
-	defer p.scratch.Put(sc)
-	// Live is sampled on every submit (placements skip drained shards);
-	// queue lengths and node counts only for load-aware placements. All
-	// three are lock-free mirror reads.
-	for i, sh := range p.shards {
-		sc.loads[i].Live = sh.LiveNodes()
-		if p.needLoads {
-			sc.loads[i].QueueLen = sh.QueueLen()
-			sc.loads[i].Nodes = sh.Nodes()
+// route asks the placement layer for task's preference order and checks
+// every index it returns. With sample set it first refreshes the shard
+// loads in sc: Live on every call (placements skip drained shards),
+// QueueLen and Nodes only for load-aware placements — all lock-free mirror
+// reads. The order aliases sc's scratch buffer.
+func (p *Pool) route(sc *placeScratch, task *rt.Task, sample bool) ([]int, error) {
+	if sample {
+		for i, sh := range p.shards {
+			sc.loads[i].Live = sh.LiveNodes()
+			if p.needLoads {
+				sc.loads[i].QueueLen = sh.QueueLen()
+				sc.loads[i].Nodes = sh.Nodes()
+			}
 		}
 	}
-	order := p.place.Order(sc.order[:0], seq, sc.loads, &task)
+	order := p.place.Order(sc.order[:0], p.seq.Add(1)-1, sc.loads, task)
 	sc.order = order[:0]
 	if len(order) == 0 {
-		return service.Decision{}, fmt.Errorf("pool: placement %s returned no shard: %w", p.place.Name(), errs.ErrBadConfig)
-	}
-
-	var last service.Decision
-	tried, done := 0, false
-	try := func(idx int) (service.Decision, bool, error) {
-		d, err := p.shards[idx].Submit(ctx, task)
-		if err != nil {
-			return d, false, err
-		}
-		tried++
-		if d.Accepted {
-			p.arrivals.Add(1)
-			p.accepts.Add(1)
-			if tried > 1 {
-				p.spillovers.Add(1)
-			}
-			return d, true, nil
-		}
-		last = d
-		// A past deadline on the shared clock dooms the task everywhere:
-		// spilling over is pointless.
-		done = errors.Is(d.Reason, errs.ErrDeadlinePast)
-		return d, false, nil
+		return nil, fmt.Errorf("pool: placement %s returned no shard: %w", p.place.Name(), errs.ErrBadConfig)
 	}
 	for _, idx := range order {
 		if idx < 0 || idx >= len(p.shards) {
-			return service.Decision{}, fmt.Errorf("pool: placement %s picked shard %d of %d: %w",
+			return nil, fmt.Errorf("pool: placement %s picked shard %d of %d: %w",
 				p.place.Name(), idx, len(p.shards), errs.ErrBadConfig)
 		}
-		if sc.loads[idx].Live == 0 {
-			continue // the whole shard is drained or down
-		}
-		d, accepted, err := try(idx)
-		if err != nil {
-			return d, err
-		}
-		if accepted {
-			return d, nil
-		}
-		if done {
-			break
-		}
 	}
-	if tried == 0 && !done {
-		// Every shard the placement picked is drained: fall through to the
-		// remaining live shards in index order rather than losing the task
-		// to a dead pick (single-choice placements under churn).
-		for idx := range p.shards {
-			if sc.loads[idx].Live == 0 || sliceContains(order, idx) {
-				continue
-			}
-			d, accepted, err := try(idx)
-			if err != nil {
-				return d, err
-			}
-			if accepted {
-				return d, nil
-			}
-			if done {
-				break
-			}
+	return order, nil
+}
+
+// offer runs the admission test for task down its placement order until a
+// shard accepts, and records the pool-level outcome: one arrival, then an
+// accept (a spillover too when more than one shard was tried) or a reject
+// carrying the last refusal. Shards with no live node are skipped, as is
+// refused: the shard that already refused with decision last (-1 when no
+// shard was tried yet). A past deadline on the shared clock dooms the task
+// everywhere, so ErrDeadlinePast stops the walk. When no shard of the
+// order could be tried, the remaining live shards are offered the task in
+// index order rather than losing it to a dead pick; when none is live the
+// task fails with ErrClusterBusy and counts nowhere.
+func (p *Pool) offer(ctx context.Context, task rt.Task, order []int, refused int, last service.Decision) (service.Decision, error) {
+	tried := 0
+	if refused >= 0 {
+		tried = 1
+	}
+	var err error
+	// try offers the task to shard idx unless it is dead or already
+	// refused, and reports whether the walk is over: an accept, a past
+	// deadline or a hard error.
+	try := func(idx int) bool {
+		if idx == refused || p.shards[idx].LiveNodes() == 0 {
+			return false
 		}
+		last, err = p.shards[idx].Submit(ctx, task)
+		if err != nil {
+			return true
+		}
+		tried++
+		return last.Accepted || errors.Is(last.Reason, errs.ErrDeadlinePast)
+	}
+	done := tried > 0 && errors.Is(last.Reason, errs.ErrDeadlinePast)
+	for i := 0; i < len(order) && !done; i++ {
+		done = try(order[i])
 	}
 	if tried == 0 {
+		for idx := 0; idx < len(p.shards) && !done; idx++ {
+			if !slices.Contains(order, idx) {
+				done = try(idx)
+			}
+		}
+	}
+	switch {
+	case err != nil:
+		return last, err
+	case tried == 0:
 		return service.Decision{}, fmt.Errorf("pool: no live shard available: %w", errs.ErrClusterBusy)
+	case last.Accepted:
+		p.arrivals.Add(1)
+		p.accepts.Add(1)
+		if tried > 1 {
+			p.spillovers.Add(1)
+		}
+		return last, nil
 	}
 	p.arrivals.Add(1)
 	p.rejects.Add(1)
 	return last, nil
-}
-
-// sliceContains reports whether order already lists idx (K is small; a
-// linear scan keeps the hot path allocation-free).
-func sliceContains(order []int, idx int) bool {
-	for _, o := range order {
-		if o == idx {
-			return true
-		}
-	}
-	return false
 }
 
 // SubmitBatch submits several tasks, returning one decision per considered
@@ -329,16 +336,8 @@ func (p *Pool) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]service.Deci
 	if len(tasks) == 0 {
 		return decisions, nil
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return decisions, err
-		}
-	}
-	if p.closed.Load() {
-		return decisions, fmt.Errorf("pool: closed: %w", errs.ErrClusterBusy)
-	}
-	if p.draining.Load() {
-		return decisions, fmt.Errorf("pool: draining: %w", errs.ErrClusterBusy)
+	if err := p.gate(ctx); err != nil {
+		return decisions, err
 	}
 
 	// Route every task first, in input order. Loads are sampled once; for
@@ -347,31 +346,19 @@ func (p *Pool) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]service.Deci
 	// would.
 	sc := p.scratch.Get().(*placeScratch)
 	defer p.scratch.Put(sc)
-	for i, sh := range p.shards {
-		sc.loads[i].Live = sh.LiveNodes()
-		if p.needLoads {
-			sc.loads[i].QueueLen = sh.QueueLen()
-			sc.loads[i].Nodes = sh.Nodes()
-		}
-	}
 	orders := make([][]int, len(tasks))
 	target := make([]int, len(tasks))
 	subTasks := make([][]rt.Task, len(p.shards))
 	for i := range tasks {
-		seq := p.seq.Add(1) - 1
-		order := p.place.Order(sc.order[:0], seq, sc.loads, &tasks[i])
-		sc.order = order[:0]
-		if len(order) == 0 {
-			return decisions, fmt.Errorf("pool: placement %s returned no shard: %w", p.place.Name(), errs.ErrBadConfig)
+		order, err := p.route(sc, &tasks[i], i == 0)
+		if err != nil {
+			return decisions, err
 		}
 		target[i] = -1
 		for _, idx := range order {
-			if idx < 0 || idx >= len(p.shards) {
-				return decisions, fmt.Errorf("pool: placement %s picked shard %d of %d: %w",
-					p.place.Name(), idx, len(p.shards), errs.ErrBadConfig)
-			}
-			if target[i] < 0 && sc.loads[idx].Live > 0 {
+			if sc.loads[idx].Live > 0 {
 				target[i] = idx
+				break
 			}
 		}
 		orders[i] = append([]int(nil), order...)
@@ -400,107 +387,34 @@ func (p *Pool) SubmitBatch(ctx context.Context, tasks []rt.Task) ([]service.Deci
 	}
 	wg.Wait()
 
-	// Stitch the decisions back into input order; rejected tasks spill over
-	// down their placement order, dead-pick tasks fall through to the
-	// remaining live shards — both exactly as Submit does.
+	// Stitch the decisions back into input order; a task its target shard
+	// refused, or one whose every pick was dead, goes through the same
+	// offer loop as Submit.
 	pos := make([]int, len(p.shards))
 	for i := range tasks {
-		t := target[i]
-		if t < 0 {
-			d, err := p.deadPickFallthrough(ctx, tasks[i], orders[i])
-			if err != nil {
-				return decisions, err
+		var d service.Decision
+		if t := target[i]; t >= 0 {
+			j := pos[t]
+			pos[t]++
+			if j >= len(subDec[t]) {
+				// The shard's sub-batch stopped early on a hard error; this is
+				// the first input-order task it never decided.
+				return decisions, subErr[t]
 			}
-			decisions = append(decisions, d)
-			continue
+			d = subDec[t][j]
 		}
-		j := pos[t]
-		pos[t]++
-		if j >= len(subDec[t]) {
-			// The shard's sub-batch stopped early on a hard error; this is
-			// the first input-order task it never decided.
-			return decisions, subErr[t]
-		}
-		d := subDec[t][j]
 		if d.Accepted {
 			p.arrivals.Add(1)
 			p.accepts.Add(1)
-			decisions = append(decisions, d)
-			continue
-		}
-		d, err := p.spillOver(ctx, tasks[i], orders[i], t, d)
-		if err != nil {
-			return decisions, err
+		} else {
+			var err error
+			if d, err = p.offer(ctx, tasks[i], orders[i], target[i], d); err != nil {
+				return decisions, err
+			}
 		}
 		decisions = append(decisions, d)
 	}
 	return decisions, nil
-}
-
-// spillOver retries a task its first shard refused down the rest of its
-// placement order, mirroring Submit's retry loop and counter discipline.
-func (p *Pool) spillOver(ctx context.Context, task rt.Task, order []int, first int, firstDec service.Decision) (service.Decision, error) {
-	last := firstDec
-	if !errors.Is(last.Reason, errs.ErrDeadlinePast) {
-		for _, idx := range order {
-			if idx == first || p.shards[idx].LiveNodes() == 0 {
-				continue
-			}
-			d, err := p.shards[idx].Submit(ctx, task)
-			if err != nil {
-				return d, err
-			}
-			if d.Accepted {
-				p.arrivals.Add(1)
-				p.accepts.Add(1)
-				p.spillovers.Add(1)
-				return d, nil
-			}
-			last = d
-			if errors.Is(d.Reason, errs.ErrDeadlinePast) {
-				break
-			}
-		}
-	}
-	p.arrivals.Add(1)
-	p.rejects.Add(1)
-	return last, nil
-}
-
-// deadPickFallthrough handles a task whose every placement pick was dead at
-// routing time: offer it to the remaining live shards in index order, as
-// Submit's fall-through does.
-func (p *Pool) deadPickFallthrough(ctx context.Context, task rt.Task, order []int) (service.Decision, error) {
-	var last service.Decision
-	tried := 0
-	for idx := range p.shards {
-		if sliceContains(order, idx) || p.shards[idx].LiveNodes() == 0 {
-			continue
-		}
-		d, err := p.shards[idx].Submit(ctx, task)
-		if err != nil {
-			return d, err
-		}
-		tried++
-		if d.Accepted {
-			p.arrivals.Add(1)
-			p.accepts.Add(1)
-			if tried > 1 {
-				p.spillovers.Add(1)
-			}
-			return d, nil
-		}
-		last = d
-		if errors.Is(d.Reason, errs.ErrDeadlinePast) {
-			break
-		}
-	}
-	if tried == 0 {
-		return service.Decision{}, fmt.Errorf("pool: no live shard available: %w", errs.ErrClusterBusy)
-	}
-	p.arrivals.Add(1)
-	p.rejects.Add(1)
-	return last, nil
 }
 
 // Subscribe attaches a consumer to the pool-wide event stream: one merged,

@@ -3,6 +3,7 @@ package pool
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"rtdls/internal/cluster"
@@ -113,6 +114,63 @@ func TestSpilloverRetriesInfeasibleShard(t *testing.T) {
 	}
 	if st := p.Stats(); st.Arrivals != 1 || st.Accepts != 1 || st.Rejects != 0 {
 		t.Fatalf("pool stats double-counted the spillover: %+v", st)
+	}
+}
+
+// TestDeadPickFallsThroughEveryLiveShard covers the dead-pick fall-through:
+// round robin picks shard 0, whose only node is down, so the task goes to
+// the remaining live shards in index order. The 1-node shard 1 cannot meet
+// the deadline; the walk must go on to the 16-node shard 2, which accepts.
+// Submit and SubmitBatch (its dead-pick stitch) must agree.
+func TestDeadPickFallsThroughEveryLiveShard(t *testing.T) {
+	submit := map[string]func(*Pool, rt.Task) (service.Decision, error){
+		"Submit": func(p *Pool, task rt.Task) (service.Decision, error) {
+			return p.Submit(context.Background(), task)
+		},
+		"SubmitBatch": func(p *Pool, task rt.Task) (service.Decision, error) {
+			ds, err := p.SubmitBatch(context.Background(), []rt.Task{task})
+			if err != nil || len(ds) != 1 {
+				return service.Decision{}, fmt.Errorf("%d decisions, err %v", len(ds), err)
+			}
+			return ds[0], nil
+		},
+	}
+	for name, fn := range submit {
+		t.Run(name, func(t *testing.T) {
+			var shards []ShardConfig
+			for _, n := range []int{1, 1, 16} {
+				cl, err := cluster.New(n, baseline)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shards = append(shards, ShardConfig{Cluster: cl, Policy: rt.EDF, Partitioner: rt.IITDLT{}})
+			}
+			p, err := New(Config{Shards: shards, Placement: RoundRobin{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			if _, err := p.FailNode(0); err != nil {
+				t.Fatal(err)
+			}
+			// E(100, 1) = 10100 > 3000; 16 nodes finish well inside it.
+			d, err := fn(p, rt.Task{ID: 1, Sigma: 100, RelDeadline: 3000})
+			if err != nil || !d.Accepted {
+				t.Fatalf("decision = %+v, %v", d, err)
+			}
+			if d.Shard != 2 {
+				t.Fatalf("placed on shard %d, want the 16-node shard 2", d.Shard)
+			}
+			if ss := p.ShardStats(); ss[0].Arrivals != 0 || ss[1].Rejects != 1 || ss[2].Accepts != 1 {
+				t.Fatalf("shard stats = %+v", ss)
+			}
+			if st := p.Stats(); st.Arrivals != 1 || st.Accepts != 1 || st.Rejects != 0 {
+				t.Fatalf("pool stats = %+v", st)
+			}
+			if p.Spillovers() != 1 {
+				t.Fatalf("Spillovers = %d, want 1", p.Spillovers())
+			}
+		})
 	}
 }
 

@@ -63,15 +63,12 @@ type Scheduler struct {
 	clVersion uint64
 	liveCache int
 
-	// Testing hooks (never set in production): noFastReject skips the
-	// FastRejecter consultation, forceRefView serves every view query from
-	// the full-sort reference implementation, and resyncEachUse rebuilds
-	// the view from a fresh snapshot on every test — together they
-	// reproduce the legacy per-submit sorted-slice behaviour for the
-	// bit-for-bit equivalence suite.
-	noFastReject  bool
-	forceRefView  bool
-	resyncEachUse bool
+	// refView is a testing hook (never set in production): every test
+	// rebuilds the view from a fresh snapshot and serves its queries from
+	// the full-sort reference implementation, the legacy per-submit
+	// sorted-slice behaviour the bit-for-bit equivalence suite compares
+	// the incremental index against.
+	refView bool
 
 	// Admission counters live on atomics so Stats() — and every observer
 	// built on it, including the /metrics scrape — never takes the
@@ -183,12 +180,10 @@ func (s *Scheduler) Submit(t *Task, now float64) (accepted bool, err error) {
 	// committed availability index, skipping the O(queue × plan) replan.
 	// FastReject is sound (never fires on a task the full test would
 	// accept), so the admission decision stream is unchanged.
-	if !s.noFastReject {
-		if fr, ok := s.part.(FastRejecter); ok && fr.FastReject(&s.pctx, t) {
-			s.reject(now, t)
-			s.observeEarlyReject(stageObs, t0)
-			return false, nil
-		}
+	if fr, ok := s.part.(FastRejecter); ok && fr.FastReject(&s.pctx, t) {
+		s.reject(now, t)
+		s.observeEarlyReject(stageObs, t0)
+		return false, nil
 	}
 
 	// TempTaskList ← NewTask + TaskWaitingQueue, ordered by the policy. The
@@ -286,7 +281,7 @@ func (s *Scheduler) Submit(t *Task, now float64) (accepted bool, err error) {
 // down, and the live (placeable) node count is recached. A fully-up fleet
 // takes exactly the pre-fleet path: no mask, live == N.
 func (s *Scheduler) freshViewLocked() (view *AvailView, live int) {
-	if s.view != nil && !s.resyncEachUse && s.clVersion == s.cl.Version() {
+	if s.view != nil && !s.refView && s.clVersion == s.cl.Version() {
 		s.view.Rollback()
 		return s.view, s.liveCache
 	}
@@ -296,7 +291,7 @@ func (s *Scheduler) freshViewLocked() (view *AvailView, live int) {
 	} else {
 		s.view.Reset(s.availBuf)
 	}
-	s.view.refMode = s.forceRefView
+	s.view.refMode = s.refView
 	live = s.cl.LiveNodes()
 	if live < s.cl.N() {
 		s.eligBuf = s.cl.EligibleInto(s.eligBuf)
@@ -461,7 +456,7 @@ func (s *Scheduler) CommitDue(now float64) ([]*Plan, error) {
 	// assignments of the last test are rolled back first — CommitBase
 	// mutates the base, not the tentative overlay. An error path below
 	// leaves clVersion stale, which safely forces a full resync.
-	synced := s.view != nil && !s.resyncEachUse && s.clVersion == s.cl.Version()
+	synced := s.view != nil && !s.refView && s.clVersion == s.cl.Version()
 	if synced {
 		s.view.Rollback()
 	}

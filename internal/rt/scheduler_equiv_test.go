@@ -80,10 +80,10 @@ func equivDrive(t *testing.T, pol Policy, part Partitioner, hetero bool, seed ui
 	const n = 12
 	cla, clb := equivClusters(t, n, hetero)
 	a := NewScheduler(cla, pol, part)
-	b := NewScheduler(clb, pol, part)
-	b.noFastReject = true
-	b.forceRefView = true
-	b.resyncEachUse = true
+	// The embedding struct hides part's FastRejecter, so b runs the full
+	// test on every task.
+	b := NewScheduler(clb, pol, struct{ Partitioner }{part})
+	b.refView = true
 
 	rng := rand.New(rand.NewPCG(seed, seed^0xabcdef))
 	now := 0.0

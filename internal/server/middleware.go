@@ -102,8 +102,6 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 						slog.String("method", r.Method), slog.String("path", r.URL.Path),
 						slog.String("request_id", reqID), slog.Any("panic", p),
 						slog.String("stack", string(debug.Stack())))
-				} else if s.logf != nil {
-					s.logf("panic: %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
 				}
 			}
 			if rec.status >= 500 {
@@ -124,8 +122,6 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 					slog.String("method", r.Method), slog.String("path", r.URL.Path),
 					slog.Int("status", rec.status), slog.Duration("duration", elapsed),
 					slog.String("request_id", reqID))
-			} else if s.logf != nil {
-				s.logf("%s %s -> %d (%s)", r.Method, r.URL.Path, rec.status, elapsed.Round(time.Microsecond))
 			}
 		}()
 		next.ServeHTTP(rec, r)

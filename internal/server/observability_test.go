@@ -1,6 +1,10 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -186,5 +190,41 @@ func TestSubscriberDropsInStats(t *testing.T) {
 	resp = decode[StatsResponse](t, get(t, h, "/v1/stats"))
 	if len(resp.Subscribers) != 0 {
 		t.Fatalf("subscribers after untrack = %+v", resp.Subscribers)
+	}
+}
+
+// failingWriter is a ResponseWriter whose body writes always fail, like a
+// connection the client has already closed.
+type failingWriter struct{ h http.Header }
+
+func (w *failingWriter) Header() http.Header       { return w.h }
+func (w *failingWriter) WriteHeader(int)           {}
+func (w *failingWriter) Write([]byte) (int, error) { return 0, errors.New("connection reset") }
+
+// TestWriteErrorReachesLogger: a response that cannot be encoded onto the
+// wire is reported through the structured logger as exactly one "write"
+// record carrying the error.
+func TestWriteErrorReachesLogger(t *testing.T) {
+	srv, _, _ := newTestServer(t)
+	var logs bytes.Buffer
+	srv.logger = slog.New(slog.NewJSONHandler(&logs, nil))
+	req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
+	srv.Handler().ServeHTTP(&failingWriter{h: http.Header{}}, req)
+
+	writes := 0
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec struct{ Msg, Error string }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if rec.Msg == "write" {
+			writes++
+			if !strings.Contains(rec.Error, "connection reset") {
+				t.Fatalf("write record error = %q", rec.Error)
+			}
+		}
+	}
+	if writes != 1 {
+		t.Fatalf("%d write records, want 1; logs:\n%s", writes, logs.String())
 	}
 }

@@ -104,14 +104,9 @@ type Config struct {
 	// Version is reported by /v1/stats (e.g. rtdls.Version).
 	Version string
 
-	// Logf, when non-nil, receives one line per request and per lifecycle
-	// transition (drain, panic recovery). Superseded by Logger; kept for
-	// callers that only want printf-style lines.
-	Logf func(format string, args ...any)
-
 	// Logger, when non-nil, receives structured request and lifecycle
-	// records (method, route, status, duration, request_id) and takes
-	// precedence over Logf.
+	// records (method, route, status, duration, request_id), panic
+	// recoveries and response-encode failures.
 	Logger *slog.Logger
 
 	// Metrics, when non-nil, is served at GET /metrics and additionally
@@ -130,7 +125,6 @@ type Server struct {
 	maxBatch      int
 	maxRetryAfter float64
 	version       string
-	logf          func(string, ...any)
 	logger        *slog.Logger
 	reg           *metrics.Registry
 	start         time.Time
@@ -170,7 +164,6 @@ func New(cfg Config) (*Server, error) {
 		maxBatch:      cfg.MaxBatch,
 		maxRetryAfter: cfg.MaxRetryAfter,
 		version:       cfg.Version,
-		logf:          cfg.Logf,
 		logger:        cfg.Logger,
 		reg:           cfg.Metrics,
 		start:         time.Now(),
@@ -239,14 +232,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// sayf emits one lifecycle line: through the structured logger when
-// configured, else the legacy printf sink.
+// sayf emits one lifecycle line through the structured logger, if any.
 func (s *Server) sayf(format string, args ...any) {
-	switch {
-	case s.logger != nil:
+	if s.logger != nil {
 		s.logger.Info(fmt.Sprintf(format, args...))
-	case s.logf != nil:
-		s.logf(format, args...)
 	}
 }
 
@@ -497,7 +486,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
-	if err := enc.Encode(body); err != nil && s.logf != nil {
-		s.logf("write: %v", err)
+	if err := enc.Encode(body); err != nil && s.logger != nil {
+		s.logger.Warn("write", slog.String("error", err.Error()))
 	}
 }

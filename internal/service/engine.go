@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 
+	"rtdls/internal/cluster"
 	"rtdls/internal/dlt"
 	"rtdls/internal/rt"
 )
@@ -62,6 +63,12 @@ type Engine interface {
 	// NodeStates returns every node's lifecycle state, indexed by the
 	// engine-wide node id (shard-major for a pool).
 	NodeStates() []NodeState
+	// Shards returns the number of member clusters (1 for a Service).
+	Shards() int
+	// Clusters returns every shard's cluster, indexed by shard.
+	Clusters() []*cluster.Cluster
+	// ShardStats returns every shard's own snapshot, indexed by shard.
+	ShardStats() []Stats
 	// Close marks the engine closed and tears down the event stream.
 	Close() error
 }

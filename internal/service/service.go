@@ -247,6 +247,15 @@ func New(cfg Config) (*Service, error) {
 // Cluster returns the cluster the service manages.
 func (s *Service) Cluster() *cluster.Cluster { return s.cl }
 
+// Shards returns 1: a Service is one cluster, the K=1 Engine.
+func (s *Service) Shards() int { return 1 }
+
+// Clusters returns the service's cluster as the one-shard fleet.
+func (s *Service) Clusters() []*cluster.Cluster { return []*cluster.Cluster{s.cl} }
+
+// ShardStats returns the service's snapshot as the one-shard fleet's.
+func (s *Service) ShardStats() []Stats { return []Stats{s.Stats()} }
+
 // Scheduler returns the underlying scheduler (for integration points that
 // still speak the rt layer, e.g. the verifier tests).
 func (s *Service) Scheduler() *rt.Scheduler { return s.sched }

@@ -49,7 +49,15 @@ import (
 // Single-round plans are still admitted against Eq. 6 on a uniform table
 // and against the exact dispatch completion on a non-uniform one. No
 // exported symbol was removed.
-const Version = "4.1.0"
+// 4.2.0 made the single cluster the K=1 case in code as well as in name:
+// New and Simulate build their engine through one constructor, Simulate
+// replays single clusters and pools through one loop, and the pool has
+// one spillover loop. Pool workloads follow the classic calibration rule,
+// so a per-node cost spread no longer raises a pool's offered rate; only
+// multi-shard runs with spreads or non-uniform cost tables change.
+// WithPolicy now rejects values other than EDF and FIFO. No exported
+// symbol was removed.
+const Version = "4.2.0"
 
 // Params holds the cluster's linear cost coefficients: Cms is the time to
 // transmit one unit of load from the head node to a processing node, Cps

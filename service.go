@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"rtdls/internal/cluster"
 	"rtdls/internal/driver"
 	"rtdls/internal/fleet"
 	"rtdls/internal/metrics"
@@ -239,6 +238,9 @@ func WithCostSpread(cmsSpread, cpsSpread float64, seed uint64) Option {
 // WithPolicy selects the execution-order policy (default EDF).
 func WithPolicy(pol Policy) Option {
 	return func(o *serviceOptions) error {
+		if pol != EDF && pol != FIFO {
+			return fmt.Errorf("rtdls: WithPolicy(%v): %w", pol, ErrBadConfig)
+		}
 		o.policy = pol
 		return nil
 	}
@@ -346,9 +348,12 @@ func WithChurn(sch ChurnSchedule) Option {
 // and Submit throughput scales with k on multi-core hardware. Every shard
 // copies the single-cluster configuration (node count, costs, policy,
 // algorithm, queue bound) unless WithShardNodes or WithShardNodeCosts
-// sizes them individually. WithShards(1) routes through the same pool
-// engine and is property-tested to behave identically to the default
-// single-cluster service.
+// sizes them individually. WithShards(1) routes through the pool engine
+// and is tested to behave identically to the default single-cluster
+// service, cost spreads included. Simulate calibrates one way for both:
+// a per-node spread or cost table never moves the offered rate, and each
+// shard adds its capacity relative to the reference cluster, so one shard
+// offers exactly the single-cluster stream.
 func WithShards(k int) Option {
 	return func(o *serviceOptions) error {
 		if k < 1 {
@@ -455,11 +460,6 @@ func (o serviceOptions) config() driver.Config {
 	}
 }
 
-// pooled reports whether the options describe a sharded pool.
-func (o serviceOptions) pooled() bool {
-	return o.shards != 0 || o.placement != nil || len(o.shardNodes) > 0 || len(o.shardCosts) > 0
-}
-
 // CostModelFor resolves the per-node cost table the given options describe
 // — explicit node costs verbatim, a spread-generated table, or the uniform
 // scalar model — exactly as New and Simulate resolve it. Useful to build a
@@ -489,9 +489,7 @@ func CostModelFor(opts ...Option) (*CostModel, error) {
 // single-cluster service is exactly the K=1 special case.
 type Service struct {
 	engine service.Engine
-	single *service.Service // non-nil for the classic single-cluster engine
-	pool   *pool.Pool       // non-nil for the sharded engine
-	cms    []*CostModel     // per-shard cost models (len 1 when single)
+	cms    []*CostModel // per-shard cost models at construction
 }
 
 // New builds a service from functional options:
@@ -514,58 +512,15 @@ func New(opts ...Option) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := o.config()
-	k, cms, err := cfg.ShardPlan()
+	eng, err := o.config().NewEngine(o.clock, o.maxQueue, service.NewMetrics(o.metrics))
 	if err != nil {
 		return nil, err
 	}
-	met := service.NewMetrics(o.metrics) // nil registry → nil Metrics
-	if !o.pooled() {
-		part, err := driver.PartitionerFor(o.algorithm, o.rounds, cms[0])
-		if err != nil {
-			return nil, err
-		}
-		cl, err := cluster.NewHetero(cms[0].Costs())
-		if err != nil {
-			return nil, err
-		}
-		inner, err := service.New(service.Config{
-			Cluster:     cl,
-			Policy:      o.policy,
-			Partitioner: part,
-			Clock:       o.clock,
-			Observer:    o.observer,
-			MaxQueue:    o.maxQueue,
-			Metrics:     met,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Service{engine: inner, single: inner, cms: cms}, nil
+	svc := &Service{engine: eng}
+	for _, cl := range eng.Clusters() {
+		svc.cms = append(svc.cms, cl.Costs())
 	}
-	shards := make([]pool.ShardConfig, k)
-	for j := range shards {
-		part, err := driver.PartitionerFor(o.algorithm, o.rounds, cms[j])
-		if err != nil {
-			return nil, err
-		}
-		cl, err := cluster.NewHetero(cms[j].Costs())
-		if err != nil {
-			return nil, err
-		}
-		shards[j] = pool.ShardConfig{
-			Cluster:     cl,
-			Policy:      o.policy,
-			Partitioner: part,
-			MaxQueue:    o.maxQueue,
-			Observer:    o.observer,
-		}
-	}
-	pl, err := pool.New(pool.Config{Shards: shards, Placement: o.placement, Clock: o.clock, Metrics: met})
-	if err != nil {
-		return nil, err
-	}
-	return &Service{engine: pl, pool: pl, cms: cms}, nil
+	return svc, nil
 }
 
 // Submit runs the admission test for one task and returns the decision.
@@ -674,46 +629,26 @@ func (s *Service) ShardCosts() []*CostModel { return append([]*CostModel(nil), s
 
 // Cluster returns the live cluster substrate (release times, accounting)
 // — shard 0's for a pooled service (see Clusters for the fleet).
-func (s *Service) Cluster() *Cluster {
-	if s.single != nil {
-		return s.single.Cluster()
-	}
-	return s.pool.Shard(0).Cluster()
-}
+func (s *Service) Cluster() *Cluster { return s.engine.Clusters()[0] }
 
 // Clusters returns every shard's cluster substrate, indexed by shard
 // (length 1 for the single-cluster service).
-func (s *Service) Clusters() []*Cluster {
-	if s.single != nil {
-		return []*Cluster{s.single.Cluster()}
-	}
-	return s.pool.Clusters()
-}
+func (s *Service) Clusters() []*Cluster { return s.engine.Clusters() }
 
 // Shards returns the number of cluster shards behind the service (1 for
 // the default single-cluster service).
-func (s *Service) Shards() int {
-	if s.pool != nil {
-		return s.pool.Shards()
-	}
-	return 1
-}
+func (s *Service) Shards() int { return s.engine.Shards() }
 
 // ShardStats returns every shard's own snapshot, indexed by shard. Under
 // a spillover placement a retried task counts at every shard that saw it;
 // the pool-level Stats counts it once.
-func (s *Service) ShardStats() []ServiceStats {
-	if s.pool != nil {
-		return s.pool.ShardStats()
-	}
-	return []ServiceStats{s.single.Stats()}
-}
+func (s *Service) ShardStats() []ServiceStats { return s.engine.ShardStats() }
 
 // Spillovers returns how many accepted tasks needed at least one
 // spillover retry (always 0 without a Spillover placement).
 func (s *Service) Spillovers() int {
-	if s.pool != nil {
-		return s.pool.Spillovers()
+	if pl, ok := s.engine.(*pool.Pool); ok {
+		return pl.Spillovers()
 	}
 	return 0
 }

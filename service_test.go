@@ -40,6 +40,7 @@ func TestServiceOptionValidation(t *testing.T) {
 		{"bad params", []rtdls.Option{rtdls.WithParams(rtdls.Params{Cms: -1, Cps: 100})}},
 		{"empty node costs", []rtdls.Option{rtdls.WithNodeCosts(nil)}},
 		{"negative max queue", []rtdls.Option{rtdls.WithMaxQueue(-1)}},
+		{"unknown policy", []rtdls.Option{rtdls.WithPolicy(rtdls.Policy(7))}},
 	}
 	for _, c := range cases {
 		if _, err := rtdls.New(c.opts...); !errors.Is(err, rtdls.ErrBadConfig) {
